@@ -112,8 +112,9 @@ pub trait FlowState {
     /// Bytes of auxiliary buffer this state currently holds (0 for bare
     /// scanner registers; the reassembler's out-of-order window for
     /// [`StreamFlow`]). The table subtracts this from its
-    /// [`ReassemblyStats::bytes_held`] gauge when the flow is evicted or
-    /// removed, keeping the gauge honest under table pressure.
+    /// [`ReassemblyStats::bytes_held`] gauge and counts it in
+    /// [`ReassemblyStats::evicted_bytes`] when the flow is evicted or
+    /// removed, keeping the ledger honest under table pressure.
     fn held_bytes(&self) -> usize {
         0
     }
@@ -166,7 +167,8 @@ pub struct FlowTableStats {
     /// zero when the ingest path carries in-order payload chunks rather
     /// than TCP segments). The [`ReassemblyStats::bytes_held`] gauge is
     /// table-wide: it drops when flows drain *and* when buffered flows
-    /// are evicted, removed, or idle-retired.
+    /// are evicted, removed, or idle-retired — the latter three move the
+    /// bytes to [`ReassemblyStats::evicted_bytes`].
     pub reassembly: ReassemblyStats,
 }
 
@@ -421,9 +423,9 @@ impl<S: FlowState + Clone> FlowTable<S> {
             None => {
                 self.stats.evictions += 1;
                 // The victim's buffered reassembly bytes leave the table
-                // with it — keep the held-bytes gauge honest.
+                // with it: off the held-bytes gauge, onto the ledger.
                 let held = self.slots[victim].state.held_bytes();
-                self.stats.reassembly.bytes_held -= held as u64;
+                self.stats.reassembly.discard_held(held);
                 (victim, FlowLookup::Evicted(self.slots[victim].key))
             }
         };
@@ -456,7 +458,7 @@ impl<S: FlowState + Clone> FlowTable<S> {
         for i in base..base + self.ways {
             if self.slots[i].occupied && self.slots[i].key == key {
                 let held = self.slots[i].state.held_bytes();
-                self.stats.reassembly.bytes_held -= held as u64;
+                self.stats.reassembly.discard_held(held);
                 self.slots[i].occupied = false;
                 self.occupied -= 1;
                 return true;
@@ -493,7 +495,7 @@ impl<S: FlowState + Clone> FlowTable<S> {
         }
         self.occupied -= evicted;
         self.stats.idle_evictions += evicted as u64;
-        self.stats.reassembly.bytes_held -= held_retired as u64;
+        self.stats.reassembly.discard_held(held_retired);
         evicted
     }
 
@@ -676,6 +678,9 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
     /// special case: the reassembler's budget rule skips the
     /// never-admitted gap and counts it honestly.)
     ///
+    /// `out` is any [`Extend`] sink — a `Vec<FlowMatch>`, or a log that
+    /// must not reallocate what it already holds.
+    ///
     /// Returns what the table did (hit / new / evicted) so the caller
     /// can count evictions against its own admission ledger.
     pub fn ingest_segment_at(
@@ -684,7 +689,7 @@ impl<S: FlowState + Clone> FlowTable<StreamFlow<S>> {
         time: u64,
         resync: bool,
         mut scan: impl FnMut(&mut S, &[u8], &mut Vec<Match>),
-        out: &mut Vec<FlowMatch>,
+        out: &mut impl Extend<FlowMatch>,
     ) -> FlowLookup {
         let (index, outcome) = self.touch_slot(segment.key, time);
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -957,6 +962,40 @@ mod tests {
         // at offset 0 and finds she/he/hers within itself.
         assert_eq!(a_matches.len(), 2 + 3);
         assert!(table.stats().evictions >= 2);
+    }
+
+    #[test]
+    fn departing_flows_move_held_bytes_to_the_evicted_ledger() {
+        use crate::reassembly::ReassemblyConfig;
+        let template = StreamFlow::new(ReassemblyConfig::new(64), ScanState::fresh());
+        let mut table = FlowTable::with_ways(2, 2, template);
+        let mut alerts = Vec::new();
+        // Each segment lands past a hole at 0, so the flow buffers it.
+        let mut ingest =
+            |table: &mut FlowTable<StreamFlow<ScanState>>, key: u128, len: usize, time| {
+                table.ingest_segment_at(
+                    FlowSegment {
+                        key: FlowKey(key),
+                        seq: 10,
+                        payload: &vec![b'x'; len],
+                    },
+                    time,
+                    false,
+                    |_: &mut ScanState, _: &[u8], _: &mut Vec<Match>| {},
+                    &mut alerts,
+                );
+            };
+        ingest(&mut table, 1, 4, 1);
+        ingest(&mut table, 2, 5, 2);
+        ingest(&mut table, 3, 6, 3); // evicts flow 1 (LRU)
+        assert_eq!(table.stats().evictions, 1);
+        assert!(table.remove(FlowKey(2)));
+        ingest(&mut table, 4, 7, 10);
+        assert_eq!(table.evict_idle(5), 1); // retires flow 3
+        let r = table.stats().reassembly;
+        assert_eq!(r.evicted_bytes, 4 + 5 + 6);
+        assert_eq!(r.bytes_held, 7, "flow 4 is still resident");
+        assert_eq!(r.bytes_held as usize, table.buffered_bytes());
     }
 
     #[test]

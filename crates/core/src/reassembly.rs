@@ -216,12 +216,24 @@ pub struct ReassemblyStats {
     /// could not fit the out-of-order window until older gaps were
     /// abandoned). Always ≤ [`holes_skipped`](ReassemblyStats::holes_skipped).
     pub budget_drops: u64,
+    /// Buffered out-of-order bytes discarded with their flow when a
+    /// [`FlowTable`](crate::FlowTable) evicted, removed or idle-retired
+    /// it — admitted bytes that never reach a scanner, so the
+    /// table-level ledger names them instead of losing them.
+    pub evicted_bytes: u64,
 }
 
 impl ReassemblyStats {
     fn held_delta(&mut self, before: usize, after: usize) {
         self.bytes_held = self.bytes_held + after as u64 - before as u64;
         self.bytes_held_peak = self.bytes_held_peak.max(self.bytes_held);
+    }
+
+    /// Moves `bytes` a departing flow still held from the gauge to
+    /// [`evicted_bytes`](ReassemblyStats::evicted_bytes).
+    pub(crate) fn discard_held(&mut self, bytes: usize) {
+        self.bytes_held -= bytes as u64;
+        self.evicted_bytes += bytes as u64;
     }
 }
 

@@ -512,8 +512,10 @@ impl WorkerStats {
 /// Whole-service counters: the steering/shedding side plus every
 /// worker's [`WorkerStats`] absorbed. The load-shedding identity
 /// `offered == admitted + shed` holds for both packets and bytes at all
-/// times; after a full drain with in-order traffic,
-/// `admitted_bytes == scanned_bytes() + dup/hole/panic losses`.
+/// times, and every admitted byte is scanned or named:
+/// `admitted_bytes == scanned_bytes() + reassembly.dup_bytes +
+/// reassembly.overlap_bytes + reassembly.evicted_bytes +
+/// workers.panic_lost_bytes + buffered_bytes`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Packets presented to [`Service::offer`] / [`ServiceSim::offer`].
@@ -580,6 +582,7 @@ fn add_reassembly(
     dst.holes_skipped += src.holes_skipped;
     dst.hole_bytes += src.hole_bytes;
     dst.budget_drops += src.budget_drops;
+    dst.evicted_bytes += src.evicted_bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -589,13 +592,14 @@ fn add_reassembly(
 /// One unit of work on a worker queue.
 enum Item {
     /// A flow segment. `resync` marks the first segment of a flow
-    /// readmitted after shedding.
+    /// readmitted after shedding. `payload` is a recycled buffer from
+    /// the queue's [`SparePool`]; the worker hands it back once scanned.
     Segment {
         key: FlowKey,
         seq: u64,
         time: u64,
         resync: bool,
-        payload: Box<[u8]>,
+        payload: Vec<u8>,
     },
     /// Install a new ruleset generation.
     Swap(Arc<RulesetArena>),
@@ -610,6 +614,80 @@ impl Item {
         match self {
             Item::Segment { payload, .. } => payload.len(),
             _ => 0,
+        }
+    }
+}
+
+/// Spent payload buffers waiting for the producer's next segment, so a
+/// steady packet stream allocates nothing. One pool per queue, capped at
+/// `queue_cap + batch` — the most buffers a queue and its worker's batch
+/// can hold at once — so a burst cannot pin memory beyond that.
+struct SparePool {
+    bufs: Vec<Vec<u8>>,
+    cap: usize,
+}
+
+impl SparePool {
+    fn new(config: &ServiceConfig) -> SparePool {
+        SparePool {
+            bufs: Vec::new(),
+            cap: config.queue_cap.saturating_add(config.batch),
+        }
+    }
+
+    /// A buffer holding exactly `payload`: a spare one when there is
+    /// one, else a new one.
+    fn fill(&mut self, payload: &[u8]) -> Vec<u8> {
+        let mut buf = self.bufs.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    /// Takes a spent buffer back, or drops it when the pool is full.
+    fn give_back(&mut self, buf: Vec<u8>) {
+        if self.bufs.len() < self.cap {
+            self.bufs.push(buf);
+        }
+    }
+}
+
+/// Matches per block of a [`MatchLog`]: 4,096 × 32 B = 128 KiB.
+const LOG_BLOCK: usize = 4096;
+
+/// A worker's append-only match log: fixed-capacity blocks, every one
+/// but the last full. Appending never reallocates or copies a block;
+/// the blocks are concatenated once, into the final report.
+#[derive(Default)]
+struct MatchLog {
+    blocks: Vec<Vec<FlowMatch>>,
+}
+
+impl MatchLog {
+    fn len(&self) -> usize {
+        self.blocks
+            .last()
+            .map_or(0, |last| (self.blocks.len() - 1) * LOG_BLOCK + last.len())
+    }
+
+    /// Moves every logged match, in order, onto the end of `out`.
+    fn drain_into(&mut self, out: &mut Vec<FlowMatch>) {
+        for block in self.blocks.drain(..) {
+            out.extend_from_slice(&block);
+        }
+    }
+}
+
+impl Extend<FlowMatch> for MatchLog {
+    fn extend<I: IntoIterator<Item = FlowMatch>>(&mut self, iter: I) {
+        let mut iter = iter.into_iter().peekable();
+        while iter.peek().is_some() {
+            if self.blocks.last().is_none_or(|b| b.len() == LOG_BLOCK) {
+                self.blocks.push(Vec::with_capacity(LOG_BLOCK));
+            }
+            let block = self.blocks.last_mut().expect("a block with room");
+            let room = LOG_BLOCK - block.len();
+            block.extend(iter.by_ref().take(room));
         }
     }
 }
@@ -634,7 +712,7 @@ struct WorkerCore {
     /// Reassembly counters of tables retired by panic recovery.
     retired_reassembly: crate::reassembly::ReassemblyStats,
     stats: WorkerStats,
-    matches: Vec<FlowMatch>,
+    matches: MatchLog,
 }
 
 impl WorkerCore {
@@ -670,7 +748,7 @@ impl WorkerCore {
             protocol,
             retired_reassembly: crate::reassembly::ReassemblyStats::default(),
             stats: WorkerStats::default(),
-            matches: Vec::new(),
+            matches: MatchLog::default(),
         })
     }
 
@@ -705,7 +783,9 @@ impl WorkerCore {
         }
     }
 
-    fn process(&mut self, item: Item) {
+    /// Runs one item; returns a segment's spent payload buffer for
+    /// recycling.
+    fn process(&mut self, item: Item) -> Option<Vec<u8>> {
         match item {
             Item::Segment {
                 key,
@@ -713,8 +793,14 @@ impl WorkerCore {
                 time,
                 resync,
                 payload,
-            } => self.ingest(key, seq, time, resync, &payload),
-            Item::Swap(arena) => self.install(arena),
+            } => {
+                self.ingest(key, seq, time, resync, &payload);
+                Some(payload)
+            }
+            Item::Swap(arena) => {
+                self.install(arena);
+                None
+            }
             // The drivers intercept Panic before calling process; a
             // Panic reaching here (e.g. via a future driver) is treated
             // as the real thing.
@@ -863,7 +949,7 @@ impl WorkerCore {
             },
             &mut flushed,
         );
-        self.matches.append(&mut flushed);
+        self.matches.extend(flushed);
         // Two-stage states may hold verified matches behind the merge
         // watermark; drain them per flow.
         let mut tail = Vec::new();
@@ -882,6 +968,36 @@ impl WorkerCore {
         self.stats.suspect_flags += suspects;
         self.stats.protocol.absorb(&proto_stats);
         self.stats.matches += (self.matches.len() - before) as u64;
+    }
+
+    /// Adds this worker's counters, residency and reassembly ledger
+    /// into `stats`.
+    fn absorb_into(&self, stats: &mut ServiceStats) {
+        stats.workers.absorb(&self.stats);
+        stats.flows_resident += self.table.len() as u64;
+        stats.buffered_bytes += self.table.buffered_bytes() as u64;
+        add_reassembly(&mut stats.reassembly, &self.table.stats().reassembly, true);
+        add_reassembly(&mut stats.reassembly, &self.retired_reassembly, false);
+    }
+}
+
+/// The final report over finished workers: their counters absorbed and
+/// their match logs concatenated, once, in worker order.
+fn report(steer: &Steer, workers: &mut [WorkerCore], latency: LatencyHistogram) -> ServiceReport {
+    let mut stats = ServiceStats::default();
+    steer.stats_into(&mut stats);
+    let mut matches = Vec::with_capacity(workers.iter().map(|w| w.matches.len()).sum());
+    let mut final_tiers = Vec::with_capacity(workers.len());
+    for worker in workers {
+        worker.absorb_into(&mut stats);
+        worker.matches.drain_into(&mut matches);
+        final_tiers.push(worker.tier);
+    }
+    ServiceReport {
+        stats,
+        matches,
+        final_tiers,
+        latency,
     }
 }
 
@@ -1169,6 +1285,8 @@ pub struct ServiceSim {
     arena: Arc<RulesetArena>,
     workers: Vec<WorkerCore>,
     queues: Vec<VecDeque<Item>>,
+    /// Parallel to `queues`: recycled payload buffers.
+    spares: Vec<SparePool>,
     stalled: Vec<u32>,
     steer: Steer,
     plan: FaultPlan,
@@ -1197,6 +1315,9 @@ impl ServiceSim {
         Ok(ServiceSim {
             steer: Steer::new(&config),
             queues: (0..config.workers).map(|_| VecDeque::new()).collect(),
+            spares: (0..config.workers)
+                .map(|_| SparePool::new(&config))
+                .collect(),
             stalled: vec![0; config.workers],
             workers,
             arena,
@@ -1259,12 +1380,13 @@ impl ServiceSim {
         let depth = self.queues[worker].len();
         match self.steer.offer(worker, key, payload.len(), depth) {
             Some(resync) => {
+                let payload = self.spares[worker].fill(payload);
                 self.queues[worker].push_back(Item::Segment {
                     key,
                     seq,
                     time,
                     resync,
-                    payload: payload.into(),
+                    payload,
                 });
                 true
             }
@@ -1295,8 +1417,8 @@ impl ServiceSim {
                     // and recovery runs, exactly as the threaded
                     // runtime's catch_unwind path.
                     self.workers[w].recover();
-                } else {
-                    self.workers[w].process(item);
+                } else if let Some(spent) = self.workers[w].process(item) {
+                    self.spares[w].give_back(spent);
                 }
             }
         }
@@ -1356,11 +1478,7 @@ impl ServiceSim {
         let mut stats = ServiceStats::default();
         self.steer.stats_into(&mut stats);
         for worker in &self.workers {
-            stats.workers.absorb(&worker.stats);
-            stats.flows_resident += worker.table.len() as u64;
-            stats.buffered_bytes += worker.table.buffered_bytes() as u64;
-            add_reassembly(&mut stats.reassembly, &worker.table.stats().reassembly, true);
-            add_reassembly(&mut stats.reassembly, &worker.retired_reassembly, false);
+            worker.absorb_into(&mut stats);
         }
         stats
     }
@@ -1372,25 +1490,7 @@ impl ServiceSim {
         for worker in &mut self.workers {
             worker.finish();
         }
-        let mut stats = ServiceStats::default();
-        self.steer.stats_into(&mut stats);
-        let mut matches = Vec::new();
-        let mut final_tiers = Vec::with_capacity(self.workers.len());
-        for worker in &mut self.workers {
-            stats.workers.absorb(&worker.stats);
-            stats.flows_resident += worker.table.len() as u64;
-            stats.buffered_bytes += worker.table.buffered_bytes() as u64;
-            add_reassembly(&mut stats.reassembly, &worker.table.stats().reassembly, true);
-            add_reassembly(&mut stats.reassembly, &worker.retired_reassembly, false);
-            matches.append(&mut worker.matches);
-            final_tiers.push(worker.tier);
-        }
-        ServiceReport {
-            stats,
-            matches,
-            final_tiers,
-            latency: LatencyHistogram::new(),
-        }
+        report(&self.steer, &mut self.workers, LatencyHistogram::new())
     }
 }
 
@@ -1466,60 +1566,110 @@ impl LatencyHistogram {
 
 struct QueueInner {
     items: VecDeque<(Item, Instant)>,
+    spares: SparePool,
     closed: bool,
 }
 
-/// A bounded MPSC channel with condvar wakeup. The producer side never
-/// blocks — capacity pressure is resolved by the shed gate *before*
-/// push — and the consumer blocks only when empty.
+/// One worker's queue: a `Mutex`-guarded deque with condvar wakeup and
+/// the queue's spare payload buffers. The producer takes the lock once
+/// per packet — shed check against the live depth, buffer fill and push
+/// together — and never blocks on capacity: the shed gate resolves that
+/// before the push. The worker takes it once per batch, handing back
+/// the previous batch's spent buffers and draining the next, and blocks
+/// only when the queue is empty.
 struct SharedQueue {
     inner: Mutex<QueueInner>,
     ready: Condvar,
 }
 
 impl SharedQueue {
-    fn new() -> SharedQueue {
+    fn new(config: &ServiceConfig) -> SharedQueue {
         SharedQueue {
             inner: Mutex::new(QueueInner {
                 items: VecDeque::new(),
+                spares: SparePool::new(config),
                 closed: false,
             }),
             ready: Condvar::new(),
         }
     }
 
-    fn depth(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueInner> {
+        self.inner
+            .lock()
+            .expect("no thread panics while holding a queue lock")
     }
 
-    fn push(&self, item: Item) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.items.push_back((item, Instant::now()));
+    /// The producer's one lock per packet: `admit` sees the live depth
+    /// and returns `Some(resync)` to enqueue the segment, copied into a
+    /// spare buffer, or `None` to shed it. Returns whether it was
+    /// enqueued.
+    fn offer(
+        &self,
+        key: FlowKey,
+        seq: u64,
+        payload: &[u8],
+        time: u64,
+        admit: impl FnOnce(usize) -> Option<bool>,
+    ) -> bool {
+        let mut inner = self.lock();
+        let Some(resync) = admit(inner.items.len()) else {
+            return false;
+        };
+        let payload = inner.spares.fill(payload);
+        let segment = Item::Segment {
+            key,
+            seq,
+            time,
+            resync,
+            payload,
+        };
+        inner.items.push_back((segment, Instant::now()));
         drop(inner);
+        self.ready.notify_one();
+        true
+    }
+
+    /// Enqueues a control-plane item (swap, injected fault): these
+    /// bypass the shed gate.
+    fn push(&self, item: Item) {
+        self.lock().items.push_back((item, Instant::now()));
         self.ready.notify_one();
     }
 
     fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.lock().closed = true;
         self.ready.notify_all();
     }
 
-    /// Blocks until at least one item (or close), then drains up to
-    /// `batch` items. Returns the observed depth and the batch; `None`
-    /// means closed and drained.
-    fn take_batch(&self, batch: usize) -> Option<(usize, Vec<(Item, Instant)>)> {
-        let mut inner = self.inner.lock().unwrap();
+    /// Returns `spent` payload buffers to the spare pool, blocks until
+    /// at least one item (or close), then moves up to `batch` items
+    /// into `items`. Returns the observed depth; `None` means closed
+    /// and drained.
+    fn take_batch(
+        &self,
+        batch: usize,
+        items: &mut Vec<(Item, Instant)>,
+        spent: &mut Vec<Vec<u8>>,
+    ) -> Option<usize> {
+        let mut inner = self.lock();
+        for buf in spent.drain(..) {
+            inner.spares.give_back(buf);
+        }
         loop {
             if !inner.items.is_empty() {
                 let depth = inner.items.len();
                 let take = depth.min(batch);
-                let items: Vec<_> = inner.items.drain(..take).collect();
-                return Some((depth, items));
+                items.extend(inner.items.drain(..take));
+                return Some(depth);
             }
             if inner.closed {
                 return None;
             }
-            inner = self.ready.wait(inner).unwrap();
+            inner = self
+                .ready
+                .wait(inner)
+                .expect("no thread panics while holding a queue lock");
         }
     }
 }
@@ -1548,7 +1698,7 @@ impl Service {
     pub fn start(arena: Arc<RulesetArena>, config: ServiceConfig) -> Result<Service, ServiceConfigError> {
         config.validate()?;
         let queues: Vec<_> = (0..config.workers)
-            .map(|_| Arc::new(SharedQueue::new()))
+            .map(|_| Arc::new(SharedQueue::new(&config)))
             .collect();
         let mut handles = Vec::with_capacity(config.workers);
         for queue in &queues {
@@ -1557,17 +1707,22 @@ impl Service {
             let batch = config.batch;
             handles.push(std::thread::spawn(move || {
                 let mut latency = LatencyHistogram::new();
-                while let Some((depth, items)) = queue.take_batch(batch) {
+                let mut items = Vec::new();
+                let mut spent = Vec::new();
+                while let Some(depth) = queue.take_batch(batch, &mut items, &mut spent) {
                     core.observe_queue(depth);
-                    for (item, enqueued) in items {
+                    for (item, enqueued) in items.drain(..) {
                         let lost = item.payload_len() as u64;
-                        let is_segment = matches!(item, Item::Segment { .. });
-                        let outcome = catch_unwind(AssertUnwindSafe(|| core.process(item)));
-                        if outcome.is_err() {
-                            core.stats.panic_lost_bytes += lost;
-                            core.recover();
-                        } else if is_segment {
-                            latency.record(enqueued.elapsed().as_nanos() as u64);
+                        match catch_unwind(AssertUnwindSafe(|| core.process(item))) {
+                            Ok(Some(buf)) => {
+                                latency.record(enqueued.elapsed().as_nanos() as u64);
+                                spent.push(buf);
+                            }
+                            Ok(None) => {}
+                            Err(_) => {
+                                core.stats.panic_lost_bytes += lost;
+                                core.recover();
+                            }
                         }
                     }
                 }
@@ -1590,24 +1745,15 @@ impl Service {
     }
 
     /// Offers one segment: steers, consults the shed gate against the
-    /// live queue depth, and enqueues or sheds. Returns `true` when
-    /// admitted. Never blocks.
+    /// live queue depth, and enqueues or sheds — all under one lock of
+    /// the target queue. The payload is copied into a recycled buffer.
+    /// Returns `true` when admitted. Never blocks on capacity.
     pub fn offer(&mut self, key: FlowKey, seq: u64, payload: &[u8], time: u64) -> bool {
         let worker = self.steer.worker_of(key);
-        let depth = self.queues[worker].depth();
-        match self.steer.offer(worker, key, payload.len(), depth) {
-            Some(resync) => {
-                self.queues[worker].push(Item::Segment {
-                    key,
-                    seq,
-                    time,
-                    resync,
-                    payload: payload.into(),
-                });
-                true
-            }
-            None => false,
-        }
+        let steer = &mut self.steer;
+        self.queues[worker].offer(key, seq, payload, time, |depth| {
+            steer.offer(worker, key, payload.len(), depth)
+        })
     }
 
     /// Hot-swaps the ruleset. The build runs on the calling (control)
@@ -1664,30 +1810,19 @@ impl Service {
         for queue in &self.queues {
             queue.close();
         }
-        let mut stats = ServiceStats::default();
-        self.steer.stats_into(&mut stats);
-        let mut matches = Vec::new();
-        let mut final_tiers = Vec::new();
         let mut latency = LatencyHistogram::new();
-        for handle in self.handles.drain(..) {
-            let (mut core, worker_latency) = handle
-                .join()
-                .expect("worker threads catch their own panics");
-            stats.workers.absorb(&core.stats);
-            stats.flows_resident += core.table.len() as u64;
-            stats.buffered_bytes += core.table.buffered_bytes() as u64;
-            add_reassembly(&mut stats.reassembly, &core.table.stats().reassembly, true);
-            add_reassembly(&mut stats.reassembly, &core.retired_reassembly, false);
-            matches.append(&mut core.matches);
-            final_tiers.push(core.tier);
-            latency.merge(&worker_latency);
-        }
-        ServiceReport {
-            stats,
-            matches,
-            final_tiers,
-            latency,
-        }
+        let mut cores: Vec<WorkerCore> = self
+            .handles
+            .drain(..)
+            .map(|handle| {
+                let (core, worker_latency) = handle
+                    .join()
+                    .expect("worker threads catch their own panics");
+                latency.merge(&worker_latency);
+                core
+            })
+            .collect();
+        report(&self.steer, &mut cores, latency)
     }
 }
 
@@ -1789,6 +1924,107 @@ mod tests {
         assert_eq!(s.shed_packets, 0);
         assert_eq!(s.admitted_bytes, s.offered_bytes);
         assert_eq!(s.scanned_bytes(), s.admitted_bytes);
+    }
+
+    #[test]
+    fn match_log_fills_fixed_blocks_across_the_boundary() {
+        let set = PatternSet::new(["a"]).unwrap();
+        let arena = Arc::new(RulesetArena::build(&set, &TwoStageConfig::with_cores(1), 1).unwrap());
+        let payload = vec![b'a'; 2 * LOG_BLOCK + 17];
+        let key = FlowKey(5);
+        let mut sim = ServiceSim::new(Arc::clone(&arena), ServiceConfig::with_workers(1)).unwrap();
+        let mut service =
+            Service::start(Arc::clone(&arena), ServiceConfig::with_workers(1)).unwrap();
+        for (i, segment) in payload.chunks(1000).enumerate() {
+            let seq = (i * 1000) as u64;
+            assert!(sim.offer(key, seq, segment, i as u64));
+            assert!(service.offer(key, seq, segment, i as u64));
+            sim.step();
+        }
+        sim.pump();
+        let blocks = &sim.workers[0].matches.blocks;
+        assert_eq!(blocks.len(), 3);
+        for block in &blocks[..2] {
+            // Full and never grown: a filled block was not reallocated.
+            assert_eq!((block.len(), block.capacity()), (LOG_BLOCK, LOG_BLOCK));
+        }
+        let mut want = Vec::new();
+        arena
+            .exact()
+            .scan_into(&payload, &mut arena.exact().scratch(), &mut want);
+        assert_eq!(want.len(), payload.len());
+        for report in [sim.finish(), service.shutdown()] {
+            assert_eq!(report.stats.workers.matches, report.matches.len() as u64);
+            let got: Vec<Match> = report.matches.iter().map(|m| m.matched).collect();
+            assert_eq!(got, want, "stream order must survive the block log");
+        }
+    }
+
+    #[test]
+    fn sim_recycles_payload_buffers_without_stale_bytes() {
+        let arena = arena();
+        let mut sim = ServiceSim::new(Arc::clone(&arena), ServiceConfig::with_workers(1)).unwrap();
+        let (long, short) = (FlowKey(1), FlowKey(2));
+        let mut tail = vec![b'.'; 200];
+        tail[180..190].copy_from_slice(b"attack-sig");
+        assert!(sim.offer(long, 0, &tail, 1));
+        sim.step();
+        assert_eq!(sim.spares[0].bufs.len(), 1, "the spent buffer is spare");
+        assert!(sim.spares[0].bufs[0].capacity() >= tail.len());
+        assert!(sim.offer(short, 0, b"xx", 2));
+        assert!(sim.spares[0].bufs.is_empty(), "the next segment reuses it");
+        sim.step();
+        assert!(sim.offer(short, 2, b"yy", 3));
+        let report = sim.finish();
+        // One match, in the long flow: the short flow's reused buffer
+        // never exposed the long payload's tail.
+        assert_eq!(report.matches.len(), 1);
+        assert_eq!(report.matches[0].key, long);
+        assert_eq!(report.stats.scanned_bytes(), 204);
+    }
+
+    #[test]
+    fn threaded_queue_recycles_spent_buffers_under_the_batch_lock() {
+        let config = ServiceConfig::with_workers(1);
+        let queue = SharedQueue::new(&config);
+        let admit = |_| Some(false);
+        let (mut items, mut spent) = (Vec::new(), Vec::new());
+        let take = |items: &mut Vec<_>, spent: &mut Vec<_>| {
+            items.clear();
+            assert_eq!(queue.take_batch(config.batch, items, spent), Some(1));
+            match items.pop() {
+                Some((Item::Segment { payload, .. }, _)) => payload,
+                _ => panic!("expected one segment"),
+            }
+        };
+        assert!(queue.offer(FlowKey(1), 0, &[7; 300], 1, admit));
+        let long = take(&mut items, &mut spent);
+        let recycled = long.as_ptr();
+        spent.push(long);
+        // Spent buffers return with the worker's next batch, not before.
+        assert!(queue.offer(FlowKey(2), 0, b"ab", 2, admit));
+        let fresh = take(&mut items, &mut spent);
+        assert_ne!(fresh.as_ptr(), recycled);
+        assert!(spent.is_empty());
+        assert!(queue.offer(FlowKey(3), 0, b"cd", 3, admit));
+        let short = take(&mut items, &mut spent);
+        assert_eq!((short.as_ptr(), short.as_slice()), (recycled, &b"cd"[..]));
+        assert!(!queue.offer(FlowKey(4), 0, b"shed", 4, |_| None));
+        assert!(queue.lock().items.is_empty());
+    }
+
+    #[test]
+    fn spare_pool_is_capped_at_queue_plus_batch() {
+        let mut config = ServiceConfig::with_workers(1);
+        config.queue_cap = 3;
+        config.batch = 2;
+        let mut pool = SparePool::new(&config);
+        for _ in 0..10 {
+            pool.give_back(Vec::with_capacity(8));
+        }
+        assert_eq!(pool.bufs.len(), 5);
+        assert_eq!(pool.fill(b"abc"), b"abc");
+        assert_eq!(pool.bufs.len(), 4);
     }
 
     #[test]

@@ -691,17 +691,16 @@ impl ShardedMatcher {
     /// [`ShardedMatcher::cores`] scoped threads when `cores > 1`,
     /// sequentially on the calling thread otherwise — and merges the
     /// per-shard results into `out` in canonical `(end, pattern)` order
-    /// with **global** pattern ids. `out` is cleared first; with a reused
-    /// `scratch` the steady-state scan performs no allocation.
+    /// with **global** pattern ids (a one-shard plan scans straight into
+    /// `out`). `out` is cleared first; with a reused `scratch` the
+    /// steady-state scan performs no allocation.
     pub fn scan_into(&self, payload: &[u8], scratch: &mut ShardedScratch, out: &mut Vec<Match>) {
-        scratch.per_shard.resize_with(self.shards.len(), Vec::new);
         if self.cores <= 1 || self.shards.len() <= 1 {
-            for (shard, buf) in self.shards.iter().zip(scratch.per_shard.iter_mut()) {
-                self.scan_one(shard, payload, buf);
-            }
-        } else {
-            self.scan_shards_parallel(payload, &mut scratch.per_shard);
+            self.scan_sequential(payload, scratch, out);
+            return;
         }
+        scratch.per_shard.resize_with(self.shards.len(), Vec::new);
+        self.scan_shards_parallel(payload, &mut scratch.per_shard);
         merge_sorted(&scratch.per_shard, &mut scratch.cursors, out);
     }
 
@@ -768,6 +767,14 @@ impl ShardedMatcher {
             self.shards.len(),
             "flow state belongs to a matcher with a different shard count"
         );
+        if self.shards.len() == 1 {
+            // One shard is already canonical with global ids: its matches
+            // go straight to `out`, with no per-shard buffer or merge.
+            if lane_in_mask(0, mask) {
+                self.scan_lane_chunk_into(state, 0, chunk, out);
+            }
+            return;
+        }
         scratch.per_shard.resize_with(self.shards.len(), Vec::new);
         for (i, ((shard, flow), buf)) in self
             .shards
@@ -1000,8 +1007,13 @@ impl ShardedMatcher {
     }
 
     /// All shards sequentially on the calling thread + merge — the
-    /// per-worker body of the stream entry point.
+    /// per-worker body of the stream entry point. A one-shard plan scans
+    /// straight into `out`.
     fn scan_sequential(&self, payload: &[u8], scratch: &mut ShardedScratch, out: &mut Vec<Match>) {
+        if self.shards.len() == 1 {
+            self.scan_one(&self.shards[0], payload, out);
+            return;
+        }
         scratch.per_shard.resize_with(self.shards.len(), Vec::new);
         for (shard, buf) in self.shards.iter().zip(scratch.per_shard.iter_mut()) {
             self.scan_one(shard, payload, buf);

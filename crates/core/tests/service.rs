@@ -814,3 +814,112 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// 10. Table pressure: an evicted flow's buffered bytes stay on the ledger.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn evicted_flows_keep_their_buffered_bytes_on_the_ledger() {
+    let arena = shared_arena();
+    let mut config = ServiceConfig::with_workers(1);
+    config.flow_capacity = 8;
+    let mut sim = ServiceSim::new(Arc::clone(&arena), config).unwrap();
+
+    // 32 flows compete for 8 slots. Each flow's five segments arrive
+    // last-first, round robin, so every flow buffers bytes behind a
+    // hole at 0 when the next flows evict it. Each segment is also
+    // resent in part: an overlap while buffered, a duplicate once the
+    // flow's first segment has been delivered.
+    let flows: Vec<(FlowKey, Vec<u8>)> = (0..32u64)
+        .map(|i| {
+            (
+                FlowKey(0xE000 + i as u128),
+                flow_payload(500 + i, 5 * 60, &[]),
+            )
+        })
+        .collect();
+    let segmented: Vec<Vec<(u64, Vec<u8>)>> = flows.iter().map(|(_, p)| segments(p, 60)).collect();
+    let mut time = 0u64;
+    for r in (0..5).rev() {
+        for (f, segs) in segmented.iter().enumerate() {
+            let (seq, bytes) = &segs[r];
+            time += 1;
+            assert!(sim.offer(flows[f].0, *seq, bytes, time));
+            assert!(sim.offer(flows[f].0, *seq, &bytes[..30], time));
+        }
+        sim.pump();
+    }
+    let report = sim.finish();
+    let s = report.stats;
+    let r = s.reassembly;
+    assert!(s.flows_resident <= 8);
+    assert_eq!(
+        r.evicted_bytes,
+        32 * 4 * 60,
+        "every buffered segment was evicted"
+    );
+    assert_eq!((r.overlap_bytes, r.dup_bytes), (32 * 4 * 30, 32 * 30));
+    assert_eq!(
+        s.admitted_bytes,
+        s.scanned_bytes()
+            + r.dup_bytes
+            + r.overlap_bytes
+            + r.evicted_bytes
+            + s.workers.panic_lost_bytes
+            + s.buffered_bytes,
+        "every admitted byte is scanned or named: {s:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 11. Recycled payload buffers never leak one segment's bytes into the
+//     next.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn recycled_payload_buffers_never_leak_stale_bytes() {
+    let arena = shared_arena();
+    // One worker, so both flows draw on one spare pool. Every long
+    // segment carries a signature in its last bytes; each is followed,
+    // once scanned, by short clean segments that reuse its buffer. A
+    // stale tail would surface as a match in the short flow.
+    let (long_key, short_key) = (FlowKey(0xB000), FlowKey(0xB001));
+    let plants: Vec<(usize, &str)> = (0..4)
+        .map(|i| (i * 400 + 370, "alpha-family-02-signature"))
+        .collect();
+    let long = flow_payload(900, 4 * 400, &plants);
+    let short = flow_payload(901, 4 * 3 * 20, &[]);
+    let long_segs = segments(&long, 400);
+    let short_segs = segments(&short, 20);
+    let config = ServiceConfig::with_workers(1);
+
+    let mut sim = ServiceSim::new(Arc::clone(&arena), config).unwrap();
+    let mut service = Service::start(Arc::clone(&arena), config).unwrap();
+    let mut time = 0u64;
+    for (i, (seq, bytes)) in long_segs.iter().enumerate() {
+        time += 1;
+        assert!(sim.offer(long_key, *seq, bytes, time));
+        assert!(service.offer(long_key, *seq, bytes, time));
+        sim.step();
+        // Give the worker thread time to scan the segment and hand its
+        // buffer back.
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        for (seq, bytes) in &short_segs[3 * i..3 * i + 3] {
+            time += 1;
+            assert!(sim.offer(short_key, *seq, bytes, time));
+            assert!(service.offer(short_key, *seq, bytes, time));
+        }
+        sim.step();
+    }
+    for report in [sim.finish(), service.shutdown()] {
+        let s = report.stats;
+        assert_eq!(s.scanned_bytes(), s.admitted_bytes);
+        assert_eq!(by_flow(&report.matches, long_key), reference(&arena, &long));
+        assert_eq!(
+            by_flow(&report.matches, short_key),
+            reference(&arena, &short)
+        );
+        assert_eq!(report.matches.len(), 4);
+    }
+}

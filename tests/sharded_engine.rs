@@ -205,8 +205,77 @@ fn multi_matcher_wiring() {
     );
 }
 
+/// With every lane masked off, a one-shard plan's masked scan is a no-op:
+/// neither the flow state nor the output moves, and the lane later
+/// resumes exactly where it stopped.
+#[test]
+fn masked_off_single_lane_leaves_state_and_output_untouched() {
+    let set = PatternSet::new(["ab", "b"]).unwrap();
+    let one = ShardedMatcher::build(&set, &ShardedConfig::with_cores(1)).unwrap();
+    assert_eq!(one.shard_count(), 1);
+    let sentinel = Match {
+        end: usize::MAX,
+        pattern: PatternId(u32::MAX),
+    };
+    let mut state = one.flow_state();
+    let mut scratch = one.scratch();
+    let mut out = vec![sentinel];
+    // Leaves "ab" in flight: the state sits after the "a".
+    one.scan_chunk_into(&mut state, b"xa", &mut scratch, &mut out);
+    let before = state.clone();
+    one.scan_chunk_masked_into(&mut state, b"bbb", &mut scratch, &mut out, !1u64);
+    assert_eq!(state, before, "a masked-off lane must not advance");
+    assert_eq!(out, [sentinel], "a masked-off lane must not emit");
+    one.scan_chunk_masked_into(&mut state, b"b", &mut scratch, &mut out, 1);
+    let at_3 = |p| Match {
+        end: 3,
+        pattern: PatternId(p),
+    };
+    assert_eq!(out, [sentinel, at_3(0), at_3(1)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Property: chunked streaming equals the naive reference wherever
+    /// the chunk cuts fall — through a one-shard plan (which emits
+    /// straight into the caller's buffer) and through a shard-forcing
+    /// plan (which merges per-shard buffers).
+    #[test]
+    fn chunked_scan_matches_naive_for_one_and_many_shards(
+        patterns in proptest::collection::vec(
+            proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 1..6),
+            1..10,
+        ),
+        haystack in proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..150),
+        cuts in proptest::collection::vec(0usize..150, 0..8),
+    ) {
+        let Ok(set) = PatternSet::new(&patterns) else {
+            return Ok(());
+        };
+        let want = NaiveMatcher::new(&set).find_all(&haystack);
+        let one = ShardedMatcher::build(&set, &ShardedConfig::with_cores(1)).unwrap();
+        prop_assert_eq!(one.shard_count(), 1);
+        let mut tight = ShardedConfig::with_cores(2);
+        tight.budget_bytes = 11_264 + 26 * 7;
+        tight.max_shards = 4;
+        let many = ShardedMatcher::build(&set, &tight)
+            .expect("budget stays above the single-pattern floor");
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(haystack.len())).collect();
+        bounds.extend([0, haystack.len()]);
+        bounds.sort_unstable();
+        for matcher in [&one, &many] {
+            let mut state = matcher.flow_state();
+            let mut scratch = matcher.scratch();
+            let mut got = Vec::new();
+            for w in bounds.windows(2) {
+                matcher.scan_chunk_into(&mut state, &haystack[w[0]..w[1]], &mut scratch, &mut got);
+            }
+            prop_assert_eq!(&got, &want);
+            matcher.scan_into(&haystack, &mut scratch, &mut got);
+            prop_assert_eq!(&got, &want);
+        }
+    }
 
     /// Property: for random dense-alphabet pattern sets and haystacks,
     /// the sharded scan equals the naive reference for every core count
