@@ -636,7 +636,7 @@ pub struct GramCover {
     bitmap: Vec<u64>,
     singles: [u64; 4],
     forward: Vec<u16>,
-    fold: [u8; 256],
+    fold: &'static [u8; 256],
     max_back: u32,
     flag_rate: f64,
     replay: f64,
@@ -646,10 +646,7 @@ impl GramCover {
     /// Builds the atom table for `set`, optionally ranking candidate
     /// atoms by their occurrence count in a traffic `sample`.
     pub fn build(set: &PatternSet, config: &ApproxConfig, sample: Option<&[u8]>) -> GramCover {
-        let mut fold = [0u8; 256];
-        for (b, slot) in fold.iter_mut().enumerate() {
-            *slot = set.fold(b as u8);
-        }
+        let fold = set.fold_table();
         let mut sample_count = vec![0u32; 1 << 16];
         if let Some(sample) = sample {
             for pair in sample.windows(2) {

@@ -296,7 +296,7 @@ impl PairTable {
         // case fold, accept flags read off the DFA outputs, and the
         // final state's own row index chained into the word.
         let mut rows = vec![0u32; hot_ids.len() * 65536];
-        let fold: Vec<u8> = (0..=255u8).map(|b| set.fold(b)).collect();
+        let fold = set.fold_table();
         for (h, &s) in hot_ids.iter().enumerate() {
             let base = h << 16;
             for b1 in 0..256usize {
@@ -425,7 +425,7 @@ impl PairTable {
         // pair lands back inside the region. The distinct mid states
         // per b₁ are few (the region's one-step successors), so the
         // build reduces to one 256-entry continuation row per mid.
-        let fold: Vec<u8> = (0..=255u8).map(|b| set.fold(b)).collect();
+        let fold = set.fold_table();
         let region: Vec<StateId> = dfa
             .states()
             .filter(|&s| anchors.contains_state(s.0))

@@ -9,6 +9,27 @@
 
 use std::fmt;
 
+/// Builds a 256-entry byte-fold table: identity, or ASCII lowercase.
+const fn fold_table(nocase: bool) -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = if nocase {
+            (b as u8).to_ascii_lowercase()
+        } else {
+            b as u8
+        };
+        b += 1;
+    }
+    table
+}
+
+/// Fold table of case-sensitive sets.
+static IDENTITY_FOLD: [u8; 256] = fold_table(false);
+
+/// Fold table of `nocase` sets.
+static LOWERCASE_FOLD: [u8; 256] = fold_table(true);
+
 /// Identifier of a pattern within a [`PatternSet`].
 ///
 /// Pattern identifiers are dense indices: the i-th pattern handed to
@@ -355,6 +376,18 @@ impl PatternSet {
             byte.to_ascii_lowercase()
         } else {
             byte
+        }
+    }
+
+    /// [`PatternSet::fold`] as a table: `fold_table()[b] == fold(b)` for
+    /// every byte. Scan loops index it once per byte instead of branching
+    /// on the case mode; both tables are statics, so borrowing one is free.
+    #[inline]
+    pub fn fold_table(&self) -> &'static [u8; 256] {
+        if self.case_insensitive {
+            &LOWERCASE_FOLD
+        } else {
+            &IDENTITY_FOLD
         }
     }
 

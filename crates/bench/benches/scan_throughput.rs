@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpi_automaton::{AnchorSet, Dfa, DfaMatcher, Match, MultiMatcher, Nfa, NfaMatcher, PairTable};
 use dpi_baselines::{BitmapAc, BitmapMatcher, PathAc, PathMatcher};
-use dpi_core::{BatchScanner, CompiledAutomaton, CompiledMatcher, DtpConfig, DtpMatcher, ReducedAutomaton};
+use dpi_core::{CompiledAutomaton, CompiledMatcher, DtpConfig, DtpMatcher, ReducedAutomaton};
 use dpi_hw::{HwImage, HwMatcher};
 use dpi_rulesets::{extract_preserving, master_ruleset, TrafficGenerator};
 use std::hint::black_box;
@@ -26,8 +26,13 @@ fn bench_scans(c: &mut Criterion) {
     let profile = TrafficGenerator::new(0x9A9A).clean_packet(128 << 10).payload;
     let pairs =
         PairTable::build_profiled(&dfa, &set, &anchors, PairTable::DEFAULT_BUDGET, &profile);
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+    // The shipped lane stack plus one variant automaton per A/B row:
+    // each row scans the lanes its automaton was built with.
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone())
+        .with_pair_table(pairs.clone());
+    let nopairs = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
+    let noprefilter = CompiledAutomaton::compile(&reduced).with_pair_table(pairs);
+    let stepper = CompiledAutomaton::compile(&reduced);
     let image = HwImage::build(&reduced).expect("fits");
     let bitmap = BitmapAc::build(&set);
     let path = PathAc::build(&set);
@@ -47,23 +52,13 @@ fn bench_scans(c: &mut Criterion) {
     // stride-2 pair layer); "-nopairs" isolates the pair layer against
     // the lane alone, "-noprefilter" the pairs-only core, and
     // "-stepper" the bare byte stepper — on infected and clean payloads.
-    for (label, m) in [
-        ("compiled", CompiledMatcher::new(&compiled, &set)),
-        (
-            "compiled-nopairs",
-            CompiledMatcher::new(&compiled, &set).with_pairs(false),
-        ),
-        (
-            "compiled-noprefilter",
-            CompiledMatcher::new(&compiled, &set).with_prefilter(false),
-        ),
-        (
-            "compiled-stepper",
-            CompiledMatcher::new(&compiled, &set)
-                .with_prefilter(false)
-                .with_pairs(false),
-        ),
+    for (label, automaton) in [
+        ("compiled", &compiled),
+        ("compiled-nopairs", &nopairs),
+        ("compiled-noprefilter", &noprefilter),
+        ("compiled-stepper", &stepper),
     ] {
+        let m = CompiledMatcher::new(automaton, &set);
         for (traffic, p) in [("300", &payload), ("300-clean", &clean)] {
             group.bench_with_input(
                 BenchmarkId::new(label, traffic),
@@ -77,23 +72,6 @@ fn bench_scans(c: &mut Criterion) {
                 },
             );
         }
-    }
-    // Batch scanning: the same bytes split across N packets interleaved
-    // round-robin — the software mirror of the paper's parallel engines.
-    for lanes in [4usize, 8] {
-        let packets: Vec<&[u8]> = payload.chunks(PAYLOAD / lanes).collect();
-        group.bench_with_input(
-            BenchmarkId::new(format!("batch{lanes}"), "300"),
-            &packets,
-            |b, pkts| {
-                let scanner = BatchScanner::new(&compiled, &set, lanes);
-                let mut out: Vec<Vec<Match>> = Vec::new();
-                b.iter(|| {
-                    scanner.scan_batch_into(black_box(pkts), &mut out);
-                    black_box(out.len())
-                });
-            },
-        );
     }
     group.bench_with_input(BenchmarkId::new("full_dfa", "300"), &payload, |b, p| {
         let m = DfaMatcher::new(&dfa, &set);

@@ -1,5 +1,5 @@
 //! Sharded per-core scanning vs the monolithic compiled engine, per core
-//! count, plus the next-row-touch prefetch A/B.
+//! count.
 //!
 //! Complements `scan_throughput` (which compares scan *engines* on one
 //! automaton): here the automaton itself is split. On a multi-core host
@@ -40,18 +40,6 @@ fn bench_sharded(c: &mut Criterion) {
             black_box(out.len())
         });
     });
-    group.bench_with_input(
-        BenchmarkId::new("compiled-prefetch", "1600"),
-        &payload,
-        |b, p| {
-            let m = CompiledMatcher::new(&compiled, &set).with_prefetch(true);
-            let mut out: Vec<Match> = Vec::with_capacity(256);
-            b.iter(|| {
-                m.scan_into(black_box(p), &mut out);
-                black_box(out.len())
-            });
-        },
-    );
     for cores in [1usize, 2, 4] {
         let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(cores))
             .expect("ruleset fits the default shard budget");

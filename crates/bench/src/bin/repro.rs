@@ -815,7 +815,7 @@ fn ab_bench_row(
 }
 
 /// Software scan throughput: reference scanners vs the compiled
-/// flat-memory engine and its batch scanner (`dpi_core::compiled`).
+/// flat-memory engine (`dpi_core::compiled`).
 ///
 /// The hardware tables measure the FPGA; this experiment measures the
 /// *software* fast path the workspace ships for hosts without an
@@ -823,7 +823,7 @@ fn ab_bench_row(
 /// automaton into CSR/branch-free form.
 fn sw_throughput() {
     use dpi_automaton::{AnchorSet, DfaMatcher, Match, MultiMatcher, PairTable};
-    use dpi_core::{BatchScanner, CompiledAutomaton, CompiledMatcher, DtpMatcher};
+    use dpi_core::{CompiledAutomaton, CompiledMatcher, DtpMatcher};
 
     const PAYLOAD: usize = 1 << 20;
     let set = dpi_rulesets::extract_preserving(&master_ruleset(), 300, 42);
@@ -867,25 +867,11 @@ fn sw_throughput() {
         buf.len()
     });
 
-    let mut rows = vec![
+    let rows = [
         ("dtp (reference)", "dtp", dtp_secs, dtp_matches),
         ("full_dfa", "full_dfa", dfa_secs, dfa_matches),
         ("compiled", "compiled", fast_secs, fast_matches),
     ];
-    for lanes in [4usize, 8] {
-        let packets: Vec<&[u8]> = payload.chunks(PAYLOAD / lanes).collect();
-        let scanner = BatchScanner::new(&compiled, &set, lanes);
-        let mut out: Vec<Vec<Match>> = Vec::new();
-        let (secs, matches) = best_secs(5, || {
-            scanner.scan_batch_into(&packets, &mut out);
-            out.iter().map(Vec::len).sum()
-        });
-        rows.push(if lanes == 4 {
-            ("batch(4)", "batch4", secs, matches)
-        } else {
-            ("batch(8)", "batch8", secs, matches)
-        });
-    }
     for (name, id, secs, matches) in &rows {
         dpi_bench::bench_json_row(
             &format!("sw-throughput/{id}"),
@@ -902,7 +888,7 @@ fn sw_throughput() {
     }
     assert_eq!(dtp_matches, fast_matches, "scanners must agree to be comparable");
     println!(
-        "\n(compiled speedup: CSR flat layout, stride-specialized branch-free\n LUT resolution, accept bits folded into transition words, buffer\n reuse, the anchor-byte skip lane over the payload's clean majority\n (A/B in `sw-throughput-clean`), and the stride-2 pair layer over the\n lane's danger bytes and excursions (A/B in `sw-throughput-stride`).\n batch lanes mirror the paper's engine interleave but share one cache\n where hardware engines own their memory ports — and scan without the\n lane, so sequential wins by more than before. batch match counts can\n differ where occurrences straddle the packet split; full_dfa trades\n ~26x the memory for a plain scan the compiled path overtakes)"
+        "\n(compiled speedup: CSR flat layout, stride-specialized branch-free\n LUT resolution, accept bits folded into transition words, buffer\n reuse, the anchor-byte skip lane over the payload's clean majority\n (A/B in `sw-throughput-clean`), and the stride-2 pair layer over the\n lane's danger bytes and excursions (A/B in `sw-throughput-stride`).\n full_dfa trades ~26x the memory for a plain scan the compiled path\n overtakes)"
     );
 }
 
@@ -949,12 +935,14 @@ fn sw_throughput_clean() {
             anchors.pair_count(),
             anchors.memory_bytes()
         );
+        // "off" is the same automaton compiled without the lane.
         let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
+        let bare = CompiledAutomaton::compile(&reduced);
         let mut gen = TrafficGenerator::new(0xC1EA);
         let clean = gen.clean_packet(PAYLOAD).payload;
         let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
         let on = CompiledMatcher::new(&compiled, &set);
-        let off = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+        let off = CompiledMatcher::new(&bare, &set);
         let mut buf: Vec<Match> = Vec::with_capacity(1024);
         for (traffic, payload) in [("clean", &clean), ("infected", &infected)] {
             let mut buf2: Vec<Match> = Vec::with_capacity(1024);
@@ -1026,7 +1014,8 @@ fn sw_throughput_clean() {
 ///   rebuilds, and carries the >=2x assertion;
 /// - **stack** (prefilter + pairs, the production stack): the full
 ///   lane stack with the vector danger walk in the prefilter lane;
-/// - **pairsonly** (prefilter off, pairs on, infected): the chained
+/// - **pairsonly** (compiled without the skip lane, pairs on,
+///   infected): the chained
 ///   pair-row walk with vs without `_mm_prefetch` on the next row —
 ///   the prefetch kernel in isolation (the only thing `simd` changes
 ///   in that lane).
@@ -1094,8 +1083,12 @@ fn sw_throughput_simd() {
                 .map(|i| if i % 2 == 0 { x } else { y })
                 .collect()
         });
+        // One automaton per lane stack under test: window (skip lane
+        // only), the full stack, and pairs only.
+        let window = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone());
         let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors)
-            .with_pair_table(pairs);
+            .with_pair_table(pairs.clone());
+        let pairsonly = CompiledAutomaton::compile(&reduced).with_pair_table(pairs);
         let mut gen = TrafficGenerator::new(0x51D0);
         let clean = gen.clean_packet(PAYLOAD).payload;
         let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
@@ -1107,11 +1100,11 @@ fn sw_throughput_simd() {
         let tls = TrafficGenerator::new(0x715_0DD).tls_stream(PAYLOAD).payload;
 
         // (configuration, kernel isolated, traffic) per A/B pair.
-        let window_on = CompiledMatcher::new(&compiled, &set).with_pairs(false);
+        let window_on = CompiledMatcher::new(&window, &set);
         let window_off = window_on.clone().with_simd(false);
         let stack_on = CompiledMatcher::new(&compiled, &set);
         let stack_off = stack_on.clone().with_simd(false);
-        let pairsonly_on = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+        let pairsonly_on = CompiledMatcher::new(&pairsonly, &set);
         let pairsonly_off = pairsonly_on.clone().with_simd(false);
         assert!(
             window_on.simd() && stack_on.simd() && pairsonly_on.simd(),
@@ -1197,7 +1190,8 @@ fn sw_throughput_simd() {
 /// rows composed with the anchor lane (`dpi_automaton::PairTable` +
 /// the compiled engine's pair lanes).
 ///
-/// Both sides run the anchor lane; the switch isolates the pair layer:
+/// Both sides run the anchor lane; "off" is the same automaton compiled
+/// without the pair table, which isolates the pair layer:
 /// region pair rows (the stride-2 calm/follow walk and windows) plus
 /// profile-ranked hot rows (excursion pair-stepping, two bytes per
 /// chained load). Rows are measured whole-payload (the payload streams
@@ -1246,11 +1240,11 @@ fn sw_throughput_stride() {
             pairs.memory_bytes(),
             pairs.budget_bytes(),
         );
-        let compiled =
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+        let lane_only = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
+        let compiled = lane_only.clone().with_pair_table(pairs);
+        assert!(compiled.pairs().is_some());
         let on = CompiledMatcher::new(&compiled, &set);
-        let off = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-        assert!(on.pairs() && !off.pairs());
+        let off = CompiledMatcher::new(&lane_only, &set);
         let mut gen = TrafficGenerator::new(99);
         let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
         let clean = gen.clean_packet(PAYLOAD).payload;
@@ -1317,7 +1311,7 @@ fn sw_throughput_stride() {
         );
     }
     println!(
-        "\n(both sides run the anchor lane; the switch isolates the pair\n layer. region pair rows make the lane's danger walk stride-2 — the\n follow row consumes a byte's successor at ~97% branch bias, the calm\n row resolves two thirds of danger hits without the exit/rebuild/\n stepper-wake round trip, and calm-quad windows skip binary regions\n the skip bitmap cannot — while profile-ranked hot rows pair-step the\n remaining excursions two bytes per chained load. the whole-payload\n rows stream 1 MiB through the cache hierarchy; the warm rows rescan\n a 256 KiB slice — the regime a per-core shard actually runs in — and\n show the layer's headroom once payload residency stops dominating)"
+        "\n(both sides run the anchor lane; off is the same automaton built\n without the pair table. region pair rows make the lane's danger\n walk stride-2 — the follow row consumes a byte's successor at ~97%\n branch bias, the calm row resolves two thirds of danger hits without the exit/rebuild/\n stepper-wake round trip, and calm-quad windows skip binary regions\n the skip bitmap cannot — while profile-ranked hot rows pair-step the\n remaining excursions two bytes per chained load. the whole-payload\n rows stream 1 MiB through the cache hierarchy; the warm rows rescan\n a 256 KiB slice — the regime a per-core shard actually runs in — and\n show the layer's headroom once payload residency stops dominating)"
     );
 }
 
@@ -1401,21 +1395,6 @@ fn sharded_throughput() {
         cell(&format!("{:.0}", mbps(seq_secs)), 14),
         cell("1.00x", 9),
         seq_matches
-    );
-
-    let pf = CompiledMatcher::new(&compiled, &set).with_prefetch(true);
-    let (pf_secs, pf_matches) = best_secs(5, || {
-        pf.scan_into(&payload, &mut buf);
-        buf.len()
-    });
-    emit("compiled-prefetch", pf_secs);
-    println!(
-        "{}{}{}{}{}",
-        cell("compiled + prefetch", 26),
-        cell(&format!("{:.0}", mbps(pf_secs)), 11),
-        cell(&format!("{:.0}", mbps(pf_secs)), 14),
-        cell(&format!("{:.2}x", seq_secs / pf_secs), 9),
-        pf_matches
     );
 
     for cores in [1usize, 2, 4, 8] {

@@ -33,10 +33,10 @@
 //!
 //! [`CompiledMatcher`] scans packets over the compiled form with an
 //! allocation-free [`CompiledMatcher::scan_into`], a visitor API, and
-//! early-exit `is_match`/`count` fast paths. [`BatchScanner`] interleaves
-//! several packets round-robin through independent state registers — the
-//! software mirror of the paper's parallel engines (see its docs for the
-//! measured cache-contention caveat that hardware ports do not have).
+//! early-exit `is_match`/`count` fast paths. The fast lanes it runs are
+//! the ones the automaton carries — anchor tables select the skip lane,
+//! a pair table the stride-2 lane, both the composed lane — so the lane
+//! stack is decided once, when the automaton is built.
 //!
 //! Equivalence with [`DtpMatcher`](crate::DtpMatcher) (and therefore with
 //! the full DFA) is asserted state-trace-for-state-trace by
@@ -110,7 +110,7 @@ const _: () = assert!(PairTable::FIN_ACCEPT == OUTPUT_FLAG);
 
 /// A [`ReducedAutomaton`] compiled into flat, pointer-free parallel
 /// arrays for scanning. Build once with [`CompiledAutomaton::compile`],
-/// scan with [`CompiledMatcher`] or [`BatchScanner`].
+/// scan with [`CompiledMatcher`].
 #[derive(Debug, Clone)]
 pub struct CompiledAutomaton {
     // --- stored transitions: CSR arena + dense escape hatch ---
@@ -282,8 +282,8 @@ impl CompiledAutomaton {
 
     /// [`CompiledAutomaton::compile`] plus the clean-traffic fast lane:
     /// embeds the anchor-byte analysis so matchers over this automaton
-    /// run the SWAR skip lane by default (see [`AnchorSet`] and
-    /// [`CompiledMatcher::with_prefilter`] for the A/B switch).
+    /// run the SWAR skip lane (see [`AnchorSet`]). Compile with plain
+    /// [`CompiledAutomaton::compile`] for an automaton without it.
     ///
     /// `anchors` must be built from the same DFA `reduced` was reduced
     /// from — the lane's shallow-state bitset indexes this automaton's
@@ -313,11 +313,11 @@ impl CompiledAutomaton {
     }
 
     /// Attaches a stride-2 pair-transition layer: matchers over this
-    /// automaton run the pair-stepping lane by default whenever the
-    /// table holds at least one hot state (see [`PairTable`] and
-    /// [`CompiledMatcher::with_pairs`] for the A/B switch). Composes
-    /// with either compile entry point — with the prefilter, the skip
-    /// lane hands off into the pair lane at every hard exit.
+    /// automaton run the pair-stepping lane (see [`PairTable`]). An
+    /// empty table is dropped, so [`CompiledAutomaton::pairs`] is `Some`
+    /// exactly when the lane runs. Composes with either compile entry
+    /// point — with the prefilter, the skip lane hands off into the pair
+    /// lane at every hard exit.
     ///
     /// `pairs` must be built from the same DFA this automaton was
     /// reduced from — pair words name this automaton's state ids.
@@ -332,11 +332,12 @@ impl CompiledAutomaton {
             self.len(),
             "pair table belongs to a different automaton"
         );
-        self.pairs = Some(pairs);
+        self.pairs = (!pairs.is_empty()).then_some(pairs);
         self
     }
 
-    /// The embedded pair-transition layer, when attached.
+    /// The embedded pair-transition layer, when a non-empty one is
+    /// attached.
     pub fn pairs(&self) -> Option<&PairTable> {
         self.pairs.as_ref()
     }
@@ -484,28 +485,6 @@ impl CompiledAutomaton {
             }
         }
         self.resolve(byte, prev, hist)
-    }
-
-    /// Software prefetch by early touch: pulls the cache lines the *next*
-    /// step will need — the CSR row of the state just entered (`tagged`)
-    /// and the LUT row of the next input byte — while the current
-    /// iteration's bookkeeping still hides their latency.
-    ///
-    /// The scan loop's serial dependency is state → row load → compare →
-    /// state; the hardware breaks it by reading state memory and the
-    /// lookup table in parallel every cycle. In safe Rust (this crate
-    /// forbids `unsafe`, so the `_mm_prefetch` intrinsic is out of reach)
-    /// the closest analogue is issuing plain loads of both rows as soon
-    /// as their addresses are known, forced to happen with
-    /// [`std::hint::black_box`]. Whether the touch pays depends on the
-    /// automaton's cache residency — which is why it sits behind
-    /// [`CompiledMatcher::with_prefetch`] so benches can A/B it.
-    #[inline(always)]
-    pub fn touch_next(&self, tagged: u32, next_byte: u8) {
-        let s = (tagged & STATE_MASK) as usize;
-        let lo = self.offsets[s] as usize;
-        std::hint::black_box(self.keys.get(lo).copied().unwrap_or(0));
-        std::hint::black_box(self.lut[next_byte as usize * self.row_len]);
     }
 
     /// [`CompiledAutomaton::step`] with compile-time LUT strides; see
@@ -678,20 +657,10 @@ macro_rules! dispatch_stepper {
 pub struct CompiledMatcher<'a> {
     automaton: &'a CompiledAutomaton,
     set: &'a PatternSet,
-    /// Precompiled case-fold table (identity for case-sensitive sets) —
-    /// one unconditional load per byte instead of a per-byte branch.
-    fold: [u8; 256],
-    /// Issue early touch loads for the next step's rows (see
-    /// [`CompiledAutomaton::touch_next`]). Dispatched once per scan, so
-    /// the hot loop carries no per-byte flag check.
-    prefetch: bool,
-    /// Run the anchor-byte skip lane when the automaton carries the
-    /// tables (on by default; see [`CompiledMatcher::with_prefilter`]).
-    prefilter: bool,
-    /// Run the stride-2 pair-stepping lane when the automaton carries a
-    /// non-empty pair table (on by default; see
-    /// [`CompiledMatcher::with_pairs`]).
-    pairs: bool,
+    /// The set's static case-fold table (identity for case-sensitive
+    /// sets) — one unconditional load per byte instead of a per-byte
+    /// branch.
+    fold: &'static [u8; 256],
     /// Detection witness for the SIMD window probes and the hot-row
     /// prefetch (`Some` on by default when the CPU qualifies; see
     /// [`CompiledMatcher::with_simd`]). Absent entirely in portable
@@ -702,104 +671,29 @@ pub struct CompiledMatcher<'a> {
 
 impl<'a> CompiledMatcher<'a> {
     /// Creates a matcher borrowing the compiled automaton and pattern
-    /// set. The clean-traffic skip lane is enabled whenever the automaton
-    /// was compiled with
-    /// [`CompiledAutomaton::compile_with_prefilter`].
+    /// set. It runs the lanes the automaton carries: the skip lane when
+    /// it was compiled with
+    /// [`CompiledAutomaton::compile_with_prefilter`], the pair lane when
+    /// a [`PairTable`] is attached, and the composed lane when both are.
+    /// Construction copies nothing, so a matcher per packet is free.
     pub fn new(automaton: &'a CompiledAutomaton, set: &'a PatternSet) -> Self {
-        let mut fold = [0u8; 256];
-        for (b, slot) in fold.iter_mut().enumerate() {
-            *slot = set.fold(b as u8);
-        }
         CompiledMatcher {
             automaton,
             set,
-            fold,
-            prefetch: false,
-            prefilter: automaton.prefilter().is_some(),
-            pairs: automaton.pairs().is_some_and(|p| !p.is_empty()),
+            fold: set.fold_table(),
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             simd: SimdToken::detect(),
         }
     }
 
-    /// Shares one precomputed fold table instead of rebuilding it — used
-    /// by the sharded scanner, which would otherwise pay 256 table writes
-    /// per shard per packet on short-flow workloads.
-    pub(crate) fn with_shared_fold(
-        automaton: &'a CompiledAutomaton,
-        set: &'a PatternSet,
-        fold: [u8; 256],
-        prefetch: bool,
-        prefilter: bool,
-        pairs: bool,
-        simd: bool,
-    ) -> Self {
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        let _ = simd;
-        CompiledMatcher {
-            automaton,
-            set,
-            fold,
-            prefetch,
-            prefilter: prefilter && automaton.prefilter().is_some(),
-            pairs: pairs && automaton.pairs().is_some_and(|p| !p.is_empty()),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            simd: if simd { SimdToken::detect() } else { None },
-        }
-    }
-
-    /// Enables or disables the next-row touch prefetch for subsequent
-    /// scans (default off). Exists as a switch precisely so the benches
-    /// can A/B it: the touch helps automata that miss cache and is dead
-    /// weight on ones that fit. While enabled it takes precedence over
-    /// the skip lane (the touch A/B needs the plain per-byte loop).
-    pub fn with_prefetch(mut self, enabled: bool) -> Self {
-        self.prefetch = enabled;
-        self
-    }
-
-    /// Whether the next-row touch prefetch is enabled.
-    pub fn prefetch(&self) -> bool {
-        self.prefetch
-    }
-
-    /// Enables or disables the anchor-byte skip lane for subsequent
-    /// scans — the A/B switch the clean-traffic benches measure.
-    /// Defaults to on when the automaton carries the tables; enabling it
-    /// on an automaton compiled without them is a no-op.
-    pub fn with_prefilter(mut self, enabled: bool) -> Self {
-        self.prefilter = enabled && self.automaton.prefilter().is_some();
-        self
-    }
-
-    /// Whether the anchor-byte skip lane is active.
-    pub fn prefilter(&self) -> bool {
-        self.prefilter
-    }
-
-    /// Enables or disables the stride-2 pair-stepping lane for
-    /// subsequent scans — the A/B switch the stride benches measure.
-    /// Defaults to on when the automaton carries a non-empty
-    /// [`PairTable`]; enabling it without one is a no-op.
-    pub fn with_pairs(mut self, enabled: bool) -> Self {
-        self.pairs = enabled && self.automaton.pairs().is_some_and(|p| !p.is_empty());
-        self
-    }
-
-    /// Whether the stride-2 pair-stepping lane is active.
-    pub fn pairs(&self) -> bool {
-        self.pairs
-    }
-
     /// Enables or disables the SIMD fast-lane kernels (16/32-byte
     /// shuffle window probes and the chained hot-row prefetch) for
-    /// subsequent scans — the A/B switch mirroring
-    /// [`CompiledMatcher::with_prefilter`]. On by default when the crate
-    /// was built with the `simd` feature on x86_64 **and** the CPU
-    /// supports SSSE3; everywhere else (portable builds, non-x86 CPUs)
-    /// this is a no-op and the safe scalar lanes run — observable
-    /// results are byte-identical either way (pinned by
-    /// `tests/simd.rs`).
+    /// subsequent scans; disabling selects the scalar reference lanes.
+    /// On by default when the crate was built with the `simd` feature on
+    /// x86_64 **and** the CPU supports SSSE3; everywhere else (portable
+    /// builds, non-x86 CPUs) this is a no-op and the safe scalar lanes
+    /// run — observable results are byte-identical either way (pinned
+    /// by `tests/simd.rs`).
     pub fn with_simd(self, enabled: bool) -> Self {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         {
@@ -837,15 +731,13 @@ impl<'a> CompiledMatcher<'a> {
         self.set
     }
 
-    /// The resumable scan core, monomorphized per prefetch mode so the
-    /// off path carries zero overhead: advances `regs` over `chunk`,
-    /// reporting match ends relative to `base` (the flow bytes consumed
-    /// before this chunk). Every entry point — whole-payload and
-    /// streaming — is a shell around this loop, so the stride-specialized
-    /// stepper dispatch happens exactly once per chunk and the per-byte
-    /// path is byte-for-byte the PR 1 hot loop.
+    /// The plain resumable scan core, for automata that carry no fast
+    /// lane: advances `regs` over `chunk`, reporting match ends relative
+    /// to `base` (the flow bytes consumed before this chunk). The
+    /// stride-specialized stepper dispatch happens exactly once per
+    /// chunk.
     #[inline(always)]
-    fn scan_chunk_impl_with<const PREFETCH: bool>(
+    fn scan_chunk_plain(
         &self,
         regs: &mut ScanRegs,
         base: usize,
@@ -856,11 +748,6 @@ impl<'a> CompiledMatcher<'a> {
         dispatch_stepper!(a, step => {{
             for (i, &raw) in chunk.iter().enumerate() {
                 let tagged = regs.advance_with(a, self.fold[raw as usize], step);
-                if PREFETCH {
-                    if let Some(&next) = chunk.get(i + 1) {
-                        a.touch_next(tagged, self.fold[next as usize]);
-                    }
-                }
                 if tagged & OUTPUT_FLAG != 0 {
                     for &p in a.output(tagged & STATE_MASK) {
                         on_match(base + i + 1, p);
@@ -1500,9 +1387,9 @@ impl<'a> CompiledMatcher<'a> {
         }});
     }
 
-    /// The pairs-only resumable core (pair table without the anchor
-    /// lane, or the prefilter switched off): a stride-2 walk of the
-    /// automaton itself. Every hot state consumes two bytes per chained
+    /// The pairs-only resumable core (an automaton carrying a pair
+    /// table but no anchor tables): a stride-2 walk of the automaton
+    /// itself. Every hot state consumes two bytes per chained
     /// pair load; cold states, interior accepts and the odd tail byte
     /// take the stride-specialized byte stepper. This is the raw
     /// software rendering of the multi-byte-per-cycle engines the paper
@@ -1571,11 +1458,10 @@ impl<'a> CompiledMatcher<'a> {
         }});
     }
 
-    /// One branch on the prefetch/prefilter/pairs switches, then into
-    /// the matching monomorphized resumable core. Prefetch takes
-    /// precedence (its A/B needs the plain loop); the skip lane is the
-    /// default whenever the automaton carries anchor tables, with the
-    /// pair lane composed in whenever a pair table rides along.
+    /// One branch on the lanes the automaton carries, then into the
+    /// matching monomorphized resumable core: the skip lane when it
+    /// carries anchor tables, with the pair lane composed in whenever a
+    /// pair table rides along.
     #[inline(always)]
     fn scan_chunk_impl(
         &self,
@@ -1585,15 +1471,8 @@ impl<'a> CompiledMatcher<'a> {
         on_match: impl FnMut(usize, PatternId),
     ) {
         let simd = self.simd();
-        if self.prefetch {
-            self.scan_chunk_impl_with::<true>(regs, base, chunk, on_match);
-        } else if self.prefilter {
-            let pf = self
-                .automaton
-                .prefilter()
-                .expect("prefilter flag implies tables");
-            if self.pairs {
-                let pt = self.automaton.pairs().expect("pairs flag implies table");
+        match (self.automaton.prefilter(), self.automaton.pairs()) {
+            (Some(pf), Some(pt)) => {
                 match (pt.has_region_rows(), simd) {
                     (true, true) => {
                         self.scan_chunk_pair_lane::<true, true>(pf, pt, regs, base, chunk, on_match)
@@ -1605,20 +1484,16 @@ impl<'a> CompiledMatcher<'a> {
                     (false, false) => self
                         .scan_chunk_pair_lane::<false, false>(pf, pt, regs, base, chunk, on_match),
                 }
-            } else if simd {
-                self.scan_chunk_prefilter::<true>(pf, regs, base, chunk, on_match);
-            } else {
-                self.scan_chunk_prefilter::<false>(pf, regs, base, chunk, on_match);
             }
-        } else if self.pairs {
-            let pt = self.automaton.pairs().expect("pairs flag implies table");
-            if simd {
-                self.scan_chunk_pairs::<true>(pt, regs, base, chunk, on_match);
-            } else {
-                self.scan_chunk_pairs::<false>(pt, regs, base, chunk, on_match);
+            (Some(pf), None) if simd => {
+                self.scan_chunk_prefilter::<true>(pf, regs, base, chunk, on_match)
             }
-        } else {
-            self.scan_chunk_impl_with::<false>(regs, base, chunk, on_match);
+            (Some(pf), None) => self.scan_chunk_prefilter::<false>(pf, regs, base, chunk, on_match),
+            (None, Some(pt)) if simd => {
+                self.scan_chunk_pairs::<true>(pt, regs, base, chunk, on_match)
+            }
+            (None, Some(pt)) => self.scan_chunk_pairs::<false>(pt, regs, base, chunk, on_match),
+            (None, None) => self.scan_chunk_plain(regs, base, chunk, on_match),
         }
     }
 
@@ -1734,17 +1609,16 @@ impl MultiMatcher for CompiledMatcher<'_> {
     }
 
     /// Early-exit fast path: stops at the first accepting state. Runs
-    /// the anchor-byte skip lane when enabled — the lane can consume no
-    /// accepting byte, so skipping never misses the exit — dispatching
-    /// to the vector lane on the same [`CompiledMatcher::simd`] switch
-    /// the full scans honour.
+    /// the anchor-byte skip lane when the automaton carries it — the
+    /// lane can consume no accepting byte, so skipping never misses the
+    /// exit — dispatching to the vector lane on the same
+    /// [`CompiledMatcher::simd`] switch the full scans honour.
     fn is_match(&self, haystack: &[u8]) -> bool {
         let a = self.automaton;
         let simd = self.simd();
         dispatch_stepper!(a, step => {{
             let mut regs = ScanRegs::start();
-            if self.prefilter && !self.prefetch {
-                let pf = a.prefilter().expect("prefilter flag implies tables");
+            if let Some(pf) = a.prefilter() {
                 let len = haystack.len();
                 let mut i = 0usize;
                 let mut run = 0usize;
@@ -1783,127 +1657,6 @@ impl MultiMatcher for CompiledMatcher<'_> {
             }
             false
         }})
-    }
-}
-
-/// Round-robin multi-packet scanner: the software mirror of the paper's
-/// parallel engines.
-///
-/// One packet's scan is a serial dependent chain (each step's memory read
-/// depends on the previous state). A hardware engine hides that latency
-/// by clocking several engines 120° out of phase on one memory port; the
-/// software analogue interleaves `lanes` packets through independent
-/// scan registers in one loop, giving the out-of-order core `lanes`
-/// independent chains per iteration.
-///
-/// **Measured caveat:** unlike the hardware's per-engine memory ports,
-/// software lanes contend for one cache hierarchy. On automata that fit
-/// in cache the interleave roughly breaks even with sequential
-/// [`CompiledMatcher::scan_into`]; on large automata the competing state
-/// walks thrash the cache and sequential scanning wins (see the
-/// `sw-throughput` repro experiment). Prefer the sequential matcher
-/// unless measurement on the deployment ruleset says otherwise — the
-/// type exists as the faithful software rendering of the paper's engine
-/// scheduling, and as the substrate for future latency-hiding work
-/// (prefetch distance, per-lane automaton shards).
-///
-/// Per-packet results are **identical** to scanning each packet alone
-/// (asserted by the differential suites): lanes share nothing but the
-/// read-only automaton.
-#[derive(Debug, Clone)]
-pub struct BatchScanner<'a> {
-    matcher: CompiledMatcher<'a>,
-    lanes: usize,
-}
-
-impl<'a> BatchScanner<'a> {
-    /// Creates a scanner interleaving `lanes` packets at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new(automaton: &'a CompiledAutomaton, set: &'a PatternSet, lanes: usize) -> Self {
-        assert!(lanes > 0, "lanes must be non-zero");
-        BatchScanner {
-            matcher: CompiledMatcher::new(automaton, set),
-            lanes,
-        }
-    }
-
-    /// Number of packets interleaved per round.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The underlying single-packet matcher.
-    pub fn matcher(&self) -> &CompiledMatcher<'a> {
-        &self.matcher
-    }
-
-    /// Scans every packet, returning one canonical match vector per
-    /// packet (index-aligned with `packets`).
-    pub fn scan_batch<P: AsRef<[u8]>>(&self, packets: &[P]) -> Vec<Vec<Match>> {
-        let mut out: Vec<Vec<Match>> = Vec::new();
-        self.scan_batch_into(packets, &mut out);
-        out
-    }
-
-    /// Allocation-reusing form of [`BatchScanner::scan_batch`]: `out` is
-    /// resized to `packets.len()` and every inner buffer is cleared and
-    /// refilled, so steady-state scanning performs no allocation.
-    pub fn scan_batch_into<P: AsRef<[u8]>>(&self, packets: &[P], out: &mut Vec<Vec<Match>>) {
-        // Grow with fresh buffers; shrinking drops the surplus ones (the
-        // kept buffers retain their capacity, so fixed-size batch loops
-        // stay allocation-free after warm-up).
-        out.resize_with(packets.len(), Vec::new);
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        let a = self.matcher.automaton;
-        let fold = &self.matcher.fold;
-        // Lane scratch reused across chunks (no per-chunk allocation).
-        let mut slices: Vec<&[u8]> = Vec::with_capacity(self.lanes);
-        let mut regs: Vec<ScanRegs> = Vec::with_capacity(self.lanes);
-        let mut active: Vec<usize> = Vec::with_capacity(self.lanes);
-        for (chunk_index, chunk) in packets.chunks(self.lanes).enumerate() {
-            let base = chunk_index * self.lanes;
-            slices.clear();
-            slices.extend(chunk.iter().map(|p| p.as_ref()));
-            regs.clear();
-            regs.resize(chunk.len(), ScanRegs::start());
-            // Round-robin in runs: each run advances every still-active
-            // lane in lockstep up to the shortest remaining packet, so the
-            // per-byte inner loop carries no length checks; exhausted
-            // lanes drop out between runs.
-            active.clear();
-            active.extend((0..chunk.len()).filter(|&k| !slices[k].is_empty()));
-            let mut pos = 0usize;
-            while !active.is_empty() {
-                let run_end = active
-                    .iter()
-                    .map(|&k| slices[k].len())
-                    .min()
-                    .expect("active is non-empty");
-                dispatch_stepper!(a, step => {{
-                    for i in pos..run_end {
-                        for &k in &active {
-                            let tagged =
-                                regs[k].advance_with(a, fold[slices[k][i] as usize], step);
-                            if tagged & OUTPUT_FLAG != 0 {
-                                for &p in a.output(tagged & STATE_MASK) {
-                                    out[base + k].push(Match {
-                                        end: i + 1,
-                                        pattern: p,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }});
-                pos = run_end;
-                active.retain(|&k| slices[k].len() > pos);
-            }
-        }
     }
 }
 
@@ -2074,22 +1827,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_mode_is_scan_invisible() {
-        // The touch loads must change nothing observable: matches, trace
-        // and every fast path agree with the default matcher.
-        let (set, reduced) = figure1();
-        let compiled = CompiledAutomaton::compile(&reduced);
-        let plain = CompiledMatcher::new(&compiled, &set);
-        let touched = CompiledMatcher::new(&compiled, &set).with_prefetch(true);
-        assert!(touched.prefetch());
-        for text in [&b"ushers and she said his hers"[..], b"", b"h", b"xxhexxx"] {
-            assert_eq!(plain.find_all(text), touched.find_all(text));
-            assert_eq!(plain.count(text), touched.count(text));
-            assert_eq!(plain.is_match(text), touched.is_match(text));
-        }
-    }
-
-    #[test]
     fn chunked_scan_equals_whole_payload() {
         let (set, reduced) = figure1();
         let compiled = CompiledAutomaton::compile(&reduced);
@@ -2123,23 +1860,14 @@ mod tests {
     }
 
     #[test]
-    fn prefilter_enabled_by_default_and_switchable() {
-        let (set, compiled) = figure1_prefiltered();
-        assert!(compiled.prefilter().is_some());
-        let m = CompiledMatcher::new(&compiled, &set);
-        assert!(m.prefilter());
-        assert!(!m.clone().with_prefilter(false).prefilter());
-        // Without tables the switch is a no-op.
-        let (set2, reduced) = figure1();
-        let bare = CompiledAutomaton::compile(&reduced);
-        assert!(!CompiledMatcher::new(&bare, &set2).with_prefilter(true).prefilter());
-    }
-
-    #[test]
     fn prefilter_is_scan_invisible() {
         let (set, compiled) = figure1_prefiltered();
+        assert!(compiled.prefilter().is_some());
+        let (_, reduced) = figure1();
+        let bare = CompiledAutomaton::compile(&reduced);
+        assert!(bare.prefilter().is_none());
         let on = CompiledMatcher::new(&compiled, &set);
-        let off = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+        let off = CompiledMatcher::new(&bare, &set);
         for text in [
             &b"ushers and she said his hers"[..],
             b"",
@@ -2185,50 +1913,59 @@ mod tests {
         let _ = set;
     }
 
-    fn figure1_paired(horizon: u8, budget: usize) -> (PatternSet, CompiledAutomaton) {
+    /// The four lane stacks over one figure-1 automaton, each built as
+    /// its own variant: `[both, skip lane only, pairs only, plain]`.
+    fn figure1_variants(horizon: u8, budget: usize) -> (PatternSet, [CompiledAutomaton; 4]) {
         let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
         let dfa = Dfa::build(&set);
         let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
         let anchors = AnchorSet::build(&dfa, &set, horizon);
         let pairs = PairTable::build_with_region(&dfa, &set, &anchors, budget);
-        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors)
-            .with_pair_table(pairs);
-        (set, compiled)
+        let variants = [
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone())
+                .with_pair_table(pairs.clone()),
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors),
+            CompiledAutomaton::compile(&reduced).with_pair_table(pairs),
+            CompiledAutomaton::compile(&reduced),
+        ];
+        (set, variants)
+    }
+
+    fn figure1_paired(horizon: u8, budget: usize) -> (PatternSet, CompiledAutomaton) {
+        let (set, [both, ..]) = figure1_variants(horizon, budget);
+        (set, both)
     }
 
     #[test]
-    fn pairs_enabled_by_default_and_switchable() {
-        let (set, compiled) = figure1_paired(1, PairTable::DEFAULT_BUDGET);
-        assert!(compiled.pairs().is_some());
-        let m = CompiledMatcher::new(&compiled, &set);
-        assert!(m.pairs() && m.prefilter());
-        assert!(!m.clone().with_pairs(false).pairs());
-        // An empty pair table never enables the lane.
-        let (set2, reduced) = figure1();
-        let dfa = Dfa::build(&set2);
-        let empty = PairTable::build(&dfa, &set2, 0);
+    fn empty_pair_table_is_dropped() {
+        let (_, compiled) = figure1_paired(1, PairTable::DEFAULT_BUDGET);
+        assert!(compiled.pairs().is_some() && compiled.prefilter().is_some());
+        // An empty pair table never rides along, so it never runs a lane.
+        let (set, reduced) = figure1();
+        let dfa = Dfa::build(&set);
+        let empty = PairTable::build(&dfa, &set, 0);
+        assert!(empty.is_empty());
         let bare = CompiledAutomaton::compile(&reduced).with_pair_table(empty);
-        assert!(!CompiledMatcher::new(&bare, &set2).with_pairs(true).pairs());
+        assert!(bare.pairs().is_none());
+        assert_eq!(
+            bare.memory_bytes(),
+            CompiledAutomaton::compile(&reduced).memory_bytes()
+        );
     }
 
     #[test]
     fn pair_lane_is_scan_invisible_under_every_mode() {
-        // All four switch combinations agree on matches, counts and
-        // is_match, across horizons and budget shapes (region rows
-        // only, hot rows only via prefilter-off, both).
+        // All four lane stacks agree on matches, counts and is_match,
+        // across horizons and budget shapes (region rows only, hot rows
+        // only via the pairs-only stack, both).
         for horizon in 0..=2u8 {
             for budget in [
                 PairTable::REGION_ROW_BYTES,
                 PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
                 PairTable::DEFAULT_BUDGET,
             ] {
-                let (set, compiled) = figure1_paired(horizon, budget);
-                let both = CompiledMatcher::new(&compiled, &set);
-                let lane_only = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-                let pairs_only = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
-                let plain = CompiledMatcher::new(&compiled, &set)
-                    .with_prefilter(false)
-                    .with_pairs(false);
+                let (set, [both, lane_only, pairs_only, plain]) = figure1_variants(horizon, budget);
+                let plain = CompiledMatcher::new(&plain, &set);
                 for text in [
                     &b"ushers and she said his hers"[..],
                     b"",
@@ -2240,11 +1977,12 @@ mod tests {
                     b"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzs",
                 ] {
                     let want = plain.find_all(text);
-                    for (name, m) in [
+                    for (name, automaton) in [
                         ("both", &both),
                         ("lane", &lane_only),
                         ("pairs", &pairs_only),
                     ] {
+                        let m = CompiledMatcher::new(automaton, &set);
                         assert_eq!(
                             m.find_all(text),
                             want,
@@ -2261,12 +1999,10 @@ mod tests {
     #[test]
     fn pair_lane_chunked_scan_equals_whole_payload() {
         // Every split point, including odd offsets and cuts inside the
-        // stride-2 windows and mid-pair, across pair modes.
-        let (set, compiled) = figure1_paired(1, PairTable::DEFAULT_BUDGET);
-        for matcher in [
-            CompiledMatcher::new(&compiled, &set),
-            CompiledMatcher::new(&compiled, &set).with_prefilter(false),
-        ] {
+        // stride-2 windows and mid-pair, across pair stacks.
+        let (set, [both, _, pairs_only, _]) = figure1_variants(1, PairTable::DEFAULT_BUDGET);
+        for automaton in [&both, &pairs_only] {
+            let matcher = CompiledMatcher::new(automaton, &set);
             let payload = b"zzzzzzzzzzzzzzhers zzzzzzzzzzzz she";
             let whole = matcher.find_all(payload);
             assert_eq!(whole.len(), 4);
@@ -2317,48 +2053,19 @@ mod tests {
         assert!(m.is_match(b"ATTACK AT DAWN"));
         assert!(m.is_match(b"attack"));
         assert!(!m.is_match(b"attac"));
-    }
-
-    #[test]
-    fn batch_equals_sequential_for_every_lane_count() {
-        let (set, reduced) = figure1();
-        let compiled = CompiledAutomaton::compile(&reduced);
-        let m = CompiledMatcher::new(&compiled, &set);
-        let packets: Vec<&[u8]> = vec![
-            b"ushers",
-            b"",
-            b"she said his",
-            b"hhhh",
-            b"x",
-            b"hershey",
-            b"shishershe",
-        ];
-        let want: Vec<Vec<Match>> = packets.iter().map(|p| m.find_all(p)).collect();
-        for lanes in [1usize, 2, 3, 4, 8, 16, 19] {
-            let scanner = BatchScanner::new(&compiled, &set, lanes);
-            assert_eq!(
-                scanner.scan_batch(&packets),
-                want,
-                "batch({lanes}) diverged from sequential"
-            );
+        for set in [set, PatternSet::new(["Attack"]).unwrap()] {
+            let table = set.fold_table();
+            for b in 0..=255u8 {
+                assert_eq!(table[b as usize], set.fold(b), "byte {b:#04x}");
+            }
         }
     }
 
     #[test]
-    fn batch_into_reuses_buffers() {
-        let (set, reduced) = figure1();
-        let compiled = CompiledAutomaton::compile(&reduced);
-        let scanner = BatchScanner::new(&compiled, &set, 4);
-        let packets: Vec<&[u8]> = vec![b"ushers", b"his hers", b"nothing at all"];
-        let mut out = Vec::new();
-        scanner.scan_batch_into(&packets, &mut out);
-        assert_eq!(out.len(), 3);
-        let caps: Vec<usize> = out.iter().map(Vec::capacity).collect();
-        scanner.scan_batch_into(&packets, &mut out);
-        let caps_after: Vec<usize> = out.iter().map(Vec::capacity).collect();
-        assert_eq!(caps, caps_after, "inner buffers must be reused");
-        assert_eq!(out[0].len(), 3);
-        assert!(out[2].is_empty());
+    fn matcher_is_a_cheap_view() {
+        // Two borrows, the static fold table and at most a SIMD token:
+        // building one per packet copies no table.
+        assert!(std::mem::size_of::<CompiledMatcher<'static>>() <= 64);
     }
 
     #[test]

@@ -46,16 +46,16 @@
 //! dense-row escalation, sentinel-padded branch-free default-transition
 //! compare tables, and CSR match outputs — and [`CompiledMatcher`] scans
 //! over it with a reusable match buffer ([`CompiledMatcher::scan_into`]),
-//! a streaming visitor, and early-exit `is_match`/`count` paths.
-//! [`BatchScanner`] additionally interleaves N packets round-robin through
-//! independent state registers, the software mirror of the paper's
-//! parallel engines (measured honestly, software lanes contend for one
-//! cache where hardware engines own their ports — see its docs).
+//! a streaming visitor, and early-exit `is_match`/`count` paths. The
+//! fast lanes a matcher runs (anchor skip lane, stride-2 pair lane, or
+//! both) are the ones its automaton was built with; nothing is toggled
+//! per scan.
 //!
 //! ## Scaling across cores
 //!
-//! The measured lesson above picks the multi-core design: rather than
-//! interleaving lanes through one big automaton, [`ShardedMatcher`]
+//! Interleaving packets through one big automaton does not scale in
+//! software: unlike the paper's engines with their own memory ports,
+//! the lanes contend for one cache. Instead, [`ShardedMatcher`]
 //! splits the *pattern set* (prefix-grouped, cost-modeled against a
 //! per-core cache budget — [`PatternSet::plan_shards`]), compiles one
 //! small [`CompiledAutomaton`] per shard, and scans payloads across
@@ -102,8 +102,7 @@ mod stats;
 pub mod two_stage;
 
 pub use compiled::{
-    BatchScanner, CompiledAutomaton, CompiledMatcher, DENSE_ROW_THRESHOLD, HIST_NONE,
-    OUTPUT_FLAG, STATE_MASK,
+    CompiledAutomaton, CompiledMatcher, DENSE_ROW_THRESHOLD, HIST_NONE, OUTPUT_FLAG, STATE_MASK,
 };
 pub use flow::{
     FlowConfigError, FlowKey, FlowLookup, FlowMatch, FlowPacket, FlowSegment, FlowState,

@@ -70,13 +70,14 @@
 use std::collections::VecDeque;
 
 use dpi_automaton::{
-    AnchorSet, ApproxConfig, ApproxState, Dfa, GramCover, Match, PairTable, PatternId, PatternSet,
-    PreClassifier, PrefixCover, ScanState, ShardPlanError,
+    ApproxConfig, ApproxState, GramCover, Match, PatternId, PatternSet, PreClassifier, PrefixCover,
+    ScanState, ShardPlanError,
 };
 
 use crate::compiled::{CompiledAutomaton, CompiledMatcher};
-use crate::reduce::ReducedAutomaton;
-use crate::sharded::{ShardedConfig, ShardedMatcher, ShardedScanState, ShardedScratch};
+use crate::sharded::{
+    build_lane_stack, ShardedConfig, ShardedMatcher, ShardedScanState, ShardedScratch,
+};
 
 /// Build-time configuration of a [`TwoStageMatcher`]: the pre-classifier
 /// budget plus the exact stage's full [`ShardedConfig`].
@@ -147,7 +148,7 @@ struct ConfirmTable {
     blob: Vec<u8>,
     /// Source set's byte folding, applied to stream bytes before
     /// comparison against the (pre-folded) blob.
-    fold: Box<[u8; 256]>,
+    fold: &'static [u8; 256],
 }
 
 /// One candidate pattern of a confirmable truncation family.
@@ -246,7 +247,7 @@ enum PreStage {
 /// The pair table (256 KiB) and triple table are only allocated when
 /// patterns of that length exist.
 struct ShortLane {
-    fold: [u8; 256],
+    fold: &'static [u8; 256],
     singles: Box<[u32]>,
     pairs: Option<Box<[u32]>>,
     triples: Option<TripleTable>,
@@ -1129,11 +1130,8 @@ impl TwoStageMatcher {
                 off: vec![0],
                 entries: Vec::new(),
                 blob: Vec::new(),
-                fold: Box::new([0u8; 256]),
+                fold: patterns.fold_table(),
             };
-            for raw in 0..=255u8 {
-                confirm.fold[usize::from(raw)] = patterns.fold(raw);
-            }
             for (cid, ((_, t), m)) in patterns.iter().zip(meta).enumerate() {
                 if t.len() == 1 && !m.windowed && fam_members[cid].is_empty() {
                     // No sharer is incomplete and truncations are
@@ -1162,8 +1160,9 @@ impl TwoStageMatcher {
                     kept_cid.push(cid as u32);
                 }
             }
-            // Compile the kept cover through the exact pipeline — same
-            // reduce, anchors and pair rows as the monolithic engine.
+            // Compile the kept cover through the exact engine's one
+            // lane-stack builder — the same reduce, anchors and pair
+            // rows every exact shard gets from this config.
             let automaton = if kept_bytes.is_empty() {
                 None
             } else {
@@ -1173,33 +1172,7 @@ impl TwoStageMatcher {
                     PatternSet::new(&kept_bytes)
                 }
                 .expect("subset of a valid cover is valid");
-                let dfa = Dfa::build(&kept);
-                let reduced = ReducedAutomaton::reduce(&dfa, config.exact.dtp);
-                let compiled = if config.exact.prefilter {
-                    let anchors = AnchorSet::build(&dfa, &kept, config.exact.anchor_horizon);
-                    let pairs = config.exact.pairs.then(|| match sample {
-                        Some(s) => PairTable::build_profiled(
-                            &dfa,
-                            &kept,
-                            &anchors,
-                            config.exact.pair_budget_bytes,
-                            s,
-                        ),
-                        None => PairTable::build_with_region(
-                            &dfa,
-                            &kept,
-                            &anchors,
-                            config.exact.pair_budget_bytes,
-                        ),
-                    });
-                    let a = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
-                    match pairs {
-                        Some(p) if !p.is_empty() => a.with_pair_table(p),
-                        _ => a,
-                    }
-                } else {
-                    CompiledAutomaton::compile(&reduced)
-                };
+                let compiled = build_lane_stack(&kept, &config.exact, sample);
                 Some(Box::new((compiled, kept)))
             };
             // Lookback only has to reach the start of *windowed*
@@ -1232,10 +1205,6 @@ impl TwoStageMatcher {
             // gram cover + windowed verifier for the rest.
             let (verifier, long_ids, shorts) = if short_count > 0 && short_count < set.len() {
                 let mut ids = Vec::with_capacity(set.len() - short_count);
-                let mut fold = [0u8; 256];
-                for (b, slot) in fold.iter_mut().enumerate() {
-                    *slot = set.fold(b as u8);
-                }
                 let mut singles = vec![u32::MAX; 256].into_boxed_slice();
                 let mut pairs: Option<Box<[u32]>> = None;
                 let mut triples: Vec<(u32, u32)> = Vec::new();
@@ -1262,7 +1231,7 @@ impl TwoStageMatcher {
                     gram_set,
                     Some(ids),
                     Some(ShortLane {
-                        fold,
+                        fold: set.fold_table(),
                         singles,
                         pairs,
                         triples: (!triples.is_empty()).then(|| TripleTable::build(&triples)),
@@ -1839,6 +1808,40 @@ mod tests {
                 singles[usize::from(b)] != u32::MAX,
                 "byte {b:#04x}"
             );
+        }
+    }
+
+    #[test]
+    fn prefix_cover_builds_the_same_lane_stack_as_an_exact_shard() {
+        // One builder decides the lanes: the prefix-cover automaton
+        // carries anchors plus region pair rows exactly when an exact
+        // shard over the same patterns and config does — at the default
+        // pair budget, and at one too small to buy any pair rows.
+        let set =
+            PatternSet::new(["attack-signature", "exploit-marker", "he", "hers", "shell"]).unwrap();
+        for budget in [ShardedConfig::DEFAULT_PAIR_BUDGET, 0] {
+            let mut config = TwoStageConfig::with_cores(1);
+            config.exact.pair_budget_bytes = budget;
+            let two = TwoStageMatcher::build(&set, &config).unwrap();
+            let PreStage::Prefix {
+                automaton: Some(cover),
+                ..
+            } = &two.pre
+            else {
+                panic!("prefix path with a compiled cover expected");
+            };
+            let (compiled, kept) = &**cover;
+            let exact = ShardedMatcher::build(kept, &config.exact).unwrap();
+            assert_eq!(exact.shard_count(), 1);
+            assert!(compiled.prefilter().is_some());
+            assert_eq!(compiled.prefilter(), exact.shard_anchors(0));
+            assert_eq!(compiled.pairs(), exact.shard_pairs(0));
+            assert_eq!(
+                compiled.pairs().is_some_and(|p| p.has_region_rows()),
+                budget > 0,
+                "budget {budget}"
+            );
+            assert_eq!(compiled.memory_bytes(), exact.shard_memory_bytes(0));
         }
     }
 

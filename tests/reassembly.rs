@@ -23,8 +23,9 @@ use dpi_accel::rulesets::{extract_preserving, master_ruleset, ChopProfile, Segme
 use proptest::prelude::*;
 
 /// Compiles `set` with the full default fast-path stack (anchors +
-/// pair layer), mirroring `tests/streaming.rs`.
-fn compiled_with_pairs(set: &PatternSet) -> CompiledAutomaton {
+/// pair layer) and, from the same pair table, the pairs-only stack —
+/// `[lane+pairs, pairs-only]`, mirroring `tests/streaming.rs`.
+fn compiled_with_pairs(set: &PatternSet) -> [CompiledAutomaton; 2] {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, AnchorSet::DEFAULT_HORIZON);
@@ -34,7 +35,10 @@ fn compiled_with_pairs(set: &PatternSet) -> CompiledAutomaton {
         &anchors,
         PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
     );
-    CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs)
+    [
+        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs.clone()),
+        CompiledAutomaton::compile(&reduced).with_pair_table(pairs),
+    ]
 }
 
 /// Replays `schedule` through a `StreamFlow` wrapping a plain
@@ -103,7 +107,7 @@ fn lossless_schedules_match_whole_payload_scan() {
     let dfa = Dfa::build(&set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let plain = CompiledAutomaton::compile(&reduced);
-    let paired = compiled_with_pairs(&set);
+    let [paired, pairs_only] = compiled_with_pairs(&set);
     let whole = CompiledMatcher::new(&plain, &set);
     let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
 
@@ -120,10 +124,7 @@ fn lossless_schedules_match_whole_payload_scan() {
         for (name, m) in [
             ("compiled", CompiledMatcher::new(&plain, &set)),
             ("lane+pairs", CompiledMatcher::new(&paired, &set)),
-            (
-                "pairs-only",
-                CompiledMatcher::new(&paired, &set).with_prefilter(false),
-            ),
+            ("pairs-only", CompiledMatcher::new(&pairs_only, &set)),
         ] {
             let (got, stats) = reassemble_compiled(&m, &schedule, budget);
             assert_eq!(got, want, "{name} diverged under {profile:?}");

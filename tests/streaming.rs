@@ -20,9 +20,11 @@ use dpi_accel::prelude::*;
 use dpi_accel::rulesets::{chop, extract_preserving, master_ruleset, ChopProfile};
 use proptest::prelude::*;
 
-/// Compiles `set` with the full default fast-path stack: anchors at the
-/// default horizon plus a pair layer with region rows and two hot rows.
-fn compiled_with_pairs(set: &PatternSet) -> CompiledAutomaton {
+/// Compiles `set` with the full default fast-path stack — anchors at the
+/// default horizon plus a pair layer with region rows and two hot rows —
+/// and, from the same pair table, the pairs-only stack:
+/// `[lane+pairs, pairs-only]`.
+fn compiled_with_pairs(set: &PatternSet) -> [CompiledAutomaton; 2] {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, AnchorSet::DEFAULT_HORIZON);
@@ -32,7 +34,10 @@ fn compiled_with_pairs(set: &PatternSet) -> CompiledAutomaton {
         &anchors,
         PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
     );
-    CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs)
+    [
+        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs.clone()),
+        CompiledAutomaton::compile(&reduced).with_pair_table(pairs),
+    ]
 }
 
 /// Splits `payload` at the (possibly ragged) cut offsets drawn from
@@ -101,13 +106,10 @@ fn streaming_agrees(patterns: Vec<Vec<u8>>, payload: Vec<u8>, cuts: Vec<usize>) 
     // Stride-2 pair lane (with the anchor lane, and alone): pair
     // alignment is taken from wherever a chunk resumes, so every cut —
     // odd offsets included — exercises the suspend/resume path.
-    let paired = compiled_with_pairs(&set);
+    let [paired, pairs_only] = compiled_with_pairs(&set);
     for (name, m) in [
         ("lane+pairs", CompiledMatcher::new(&paired, &set)),
-        (
-            "pairs-only",
-            CompiledMatcher::new(&paired, &set).with_prefilter(false),
-        ),
+        ("pairs-only", CompiledMatcher::new(&pairs_only, &set)),
     ] {
         let mut state = ScanState::fresh();
         let mut got = Vec::new();

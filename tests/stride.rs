@@ -4,10 +4,10 @@
 //! For every workload shape — clean, infected and adversarial payloads,
 //! whole or packetized under every [`ChopProfile`] (including cuts at
 //! odd stream offsets and inside calm-pair windows), case-sensitive and
-//! nocase, at every anchor horizon, with the prefilter on or off —
-//! scanning with the pair layer enabled must report byte-for-byte the
-//! matches of the pairs-off scan, which in turn equals the reference
-//! matchers. Covers [`CompiledMatcher`] (both the composed lane and the
+//! nocase, at every anchor horizon, with or without the skip lane —
+//! scanning an automaton built with the pair layer must report
+//! byte-for-byte the matches of one built without it, which in turn
+//! equals the reference matchers. Covers [`CompiledMatcher`] (both the composed lane and the
 //! pairs-only core) and [`ShardedMatcher`], plus budget shapes from
 //! region-rows-only up to the profiled default.
 
@@ -18,20 +18,31 @@ use dpi_accel::rulesets::{
 };
 use proptest::prelude::*;
 
+/// The three lane stacks under test, each its own automaton built from
+/// the same anchor analysis and pair table.
+struct Stacks {
+    /// Skip lane plus pair layer (the shipped stack).
+    both: CompiledAutomaton,
+    /// Skip lane alone.
+    lane: CompiledAutomaton,
+    /// Pair layer alone (the pairs-only core).
+    pairs: CompiledAutomaton,
+}
+
 /// Compiles `set` with anchors at `horizon` plus a pair layer under
-/// `budget` (and the reference reduced automaton).
-fn build(
-    set: &PatternSet,
-    horizon: u8,
-    budget: usize,
-) -> (ReducedAutomaton, CompiledAutomaton) {
+/// `budget` into every lane stack (and the reference reduced automaton).
+fn build(set: &PatternSet, horizon: u8, budget: usize) -> (ReducedAutomaton, Stacks) {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, horizon);
     let pairs = PairTable::build_with_region(&dfa, set, &anchors, budget);
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
-    (reduced, compiled)
+    let stacks = Stacks {
+        both: CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone())
+            .with_pair_table(pairs.clone()),
+        lane: CompiledAutomaton::compile_with_prefilter(&reduced, anchors),
+        pairs: CompiledAutomaton::compile(&reduced).with_pair_table(pairs),
+    };
+    (reduced, stacks)
 }
 
 /// The budget shapes worth distinguishing: region rows alone (stride-2
@@ -46,7 +57,7 @@ fn budgets() -> [usize; 3] {
 }
 
 /// Pairs-on ≡ pairs-off ≡ DtpMatcher on generated traffic, across
-/// horizons, budgets, and the prefilter switch.
+/// horizons, budgets, and with or without the skip lane.
 #[test]
 fn generated_traffic_equivalence_across_horizons_and_budgets() {
     let master = master_ruleset();
@@ -58,11 +69,11 @@ fn generated_traffic_equivalence_across_horizons_and_budgets() {
         let crafted = adversarial_payload(&set, 4 << 10);
         for horizon in 0..=AnchorSet::MAX_HORIZON {
             for budget in budgets() {
-                let (reduced, compiled) = build(&set, horizon, budget);
+                let (reduced, stacks) = build(&set, horizon, budget);
                 let dtp = DtpMatcher::new(&reduced, &set);
-                let both = CompiledMatcher::new(&compiled, &set);
-                let lane_only = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-                let pairs_only = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+                let both = CompiledMatcher::new(&stacks.both, &set);
+                let lane_only = CompiledMatcher::new(&stacks.lane, &set);
+                let pairs_only = CompiledMatcher::new(&stacks.pairs, &set);
                 for (label, payload) in
                     [("clean", &clean), ("infected", &infected), ("adversarial", &crafted)]
                 {
@@ -95,14 +106,14 @@ fn generated_traffic_equivalence_across_horizons_and_budgets() {
 fn odd_offset_chop_profiles_with_alternating_resume() {
     let master = master_ruleset();
     let set = extract_preserving(&master, 120, 9);
-    let (reduced, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
+    let (reduced, stacks) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
     let dtp = DtpMatcher::new(&reduced, &set);
-    let on = CompiledMatcher::new(&compiled, &set);
-    let off = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-    let pairs_only = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
-    assert!(on.pairs() && !off.pairs());
+    assert!(stacks.both.pairs().is_some() && stacks.lane.pairs().is_none());
+    let on = CompiledMatcher::new(&stacks.both, &set);
+    let off = CompiledMatcher::new(&stacks.lane, &set);
+    let pairs_only = CompiledMatcher::new(&stacks.pairs, &set);
     let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-    assert!(sharded.pairs());
+    assert!((0..sharded.shard_count()).all(|s| sharded.shard_pairs(s).is_some()));
     let mut gen = TrafficGenerator::new(11);
     let packet = gen.infected_packet(6 << 10, &set, 12);
     let whole = dtp.find_all(&packet.payload);
@@ -168,9 +179,9 @@ fn odd_offset_chop_profiles_with_alternating_resume() {
 #[test]
 fn cuts_inside_calm_windows_and_mid_pair() {
     let set = PatternSet::new(["hers", "she", "attack", "x"]).unwrap();
-    let (_, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
-    let m = CompiledMatcher::new(&compiled, &set);
-    assert!(m.pairs());
+    let (_, stacks) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
+    assert!(stacks.both.pairs().is_some());
+    let m = CompiledMatcher::new(&stacks.both, &set);
     // Candidate-but-calm text around the patterns keeps the walk in
     // stride-2 mode (never the SWAR window).
     let payload = b"the quiet theme there hers the quiet theme attack x end".to_vec();
@@ -207,12 +218,12 @@ fn danger_exit_rebuild_boundary_alignment() {
     let set = extract_preserving(&master_ruleset(), 120, 0x77);
     let dfa = Dfa::build(&set);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    let (_, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
+    let (_, stacks) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[2]);
     let mut gen = TrafficGenerator::new(0xD4E);
     let payload = gen.infected_packet(1536, &set, 6).payload;
-    let both = CompiledMatcher::new(&compiled, &set);
-    let lane = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-    let pairs = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+    let both = CompiledMatcher::new(&stacks.both, &set);
+    let lane = CompiledMatcher::new(&stacks.lane, &set);
+    let pairs = CompiledMatcher::new(&stacks.pairs, &set);
     let whole = NaiveMatcher::new(&set).find_all(&payload);
     assert_eq!(both.find_all(&payload), whole);
 
@@ -245,10 +256,10 @@ fn nocase_pair_lane_equivalence() {
     let set = PatternSet::new_nocase(["Attack", "GET /", "hers", "Z"]).unwrap();
     for horizon in 0..=AnchorSet::MAX_HORIZON {
         for budget in budgets() {
-            let (reduced, compiled) = build(&set, horizon, budget);
+            let (reduced, stacks) = build(&set, horizon, budget);
             let dtp = DtpMatcher::new(&reduced, &set);
-            let on = CompiledMatcher::new(&compiled, &set);
-            let pairs_only = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+            let on = CompiledMatcher::new(&stacks.both, &set);
+            let pairs_only = CompiledMatcher::new(&stacks.pairs, &set);
             for payload in [
                 &b"ATTACK at dawn: get / HeRs aTtAcK z"[..],
                 b"zzzzZZZZzzzzZZZZattackZZZZ",
@@ -341,10 +352,10 @@ proptest! {
         cuts.dedup();
         let segments = chop(&payload, &cuts);
 
-        let (_, compiled) = build(&set, horizon, budgets()[budget_idx]);
+        let (_, stacks) = build(&set, horizon, budgets()[budget_idx]);
         for (name, m) in [
-            ("lane+pairs", CompiledMatcher::new(&compiled, &set)),
-            ("pairs-only", CompiledMatcher::new(&compiled, &set).with_prefilter(false)),
+            ("lane+pairs", CompiledMatcher::new(&stacks.both, &set)),
+            ("pairs-only", CompiledMatcher::new(&stacks.pairs, &set)),
         ] {
             let mut state = ScanState::fresh();
             let mut got = Vec::new();
@@ -376,10 +387,10 @@ proptest! {
         cuts.sort_unstable();
         cuts.dedup();
         let segments = chop(&payload, &cuts);
-        let (_, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[1]);
-        let both = CompiledMatcher::new(&compiled, &set);
-        let lane = CompiledMatcher::new(&compiled, &set).with_pairs(false);
-        let pairs = CompiledMatcher::new(&compiled, &set).with_prefilter(false);
+        let (_, stacks) = build(&set, AnchorSet::DEFAULT_HORIZON, budgets()[1]);
+        let both = CompiledMatcher::new(&stacks.both, &set);
+        let lane = CompiledMatcher::new(&stacks.lane, &set);
+        let pairs = CompiledMatcher::new(&stacks.pairs, &set);
         let mut state = ScanState::fresh();
         let mut got = Vec::new();
         for (i, seg) in segments.iter().enumerate() {
