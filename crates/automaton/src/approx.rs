@@ -2,8 +2,8 @@
 //! [`PatternSet`] that flag *windows* of a stream for exact re-scanning.
 //!
 //! Every engine in this workspace so far scans the whole stream through
-//! an automaton whose size grows with the ruleset, and the big levers
-//! (anchor skip lane, pair rows) measurably degrade as rules grow. The
+//! an automaton whose size grows with the ruleset, and its big lever
+//! (the anchor skip lane) measurably degrades as rules grow. The
 //! approximate-NFA FPGA line of work shows the escape: a deliberately
 //! over-approximated, much *smaller* classifier sweeps the stream, and
 //! only the positions it flags — widened into windows — ever reach the
@@ -295,9 +295,8 @@ impl PrefixCover {
     ///
     /// `cost(d) = max(1, mem(d) / budget)² × (1 + 16 × replay(d))`
     ///
-    /// — the same squared cache-cliff penalty the sharded autotuner
-    /// applies when an arena spills its per-core budget, times a replay
-    /// term weighting each replayed byte at ~16× a stage-1 byte (the
+    /// — a squared cache-cliff penalty once an arena spills its
+    /// per-core budget, times a replay term weighting each replayed byte at ~16× a stage-1 byte (the
     /// exact stage walks every shard per byte where stage 1 walks one
     /// L2-resident arena; 16 is the measured order of magnitude at
     /// 25k–100k rules, and the ranking is insensitive to ±2× here
@@ -781,8 +780,7 @@ impl ApproxCover {
     }
 
     /// [`ApproxCover::build`] with refinement, atom choice and the
-    /// replay estimate all profiled against a traffic `sample` (the
-    /// analogue of `PairTable::build_profiled`).
+    /// replay estimate all profiled against a traffic `sample`.
     pub fn build_with_sample(set: &PatternSet, config: &ApproxConfig, sample: &[u8]) -> ApproxCover {
         let prefix = PrefixCover::build(set, config, Some(sample));
         let grams = GramCover::build(set, config, Some(sample));

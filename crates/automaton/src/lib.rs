@@ -20,10 +20,7 @@
 //!   Table II for the original algorithm;
 //! - [`AnchorSet`] — build-time anchor-byte analysis of the DFA (which
 //!   bytes can pull the automaton out of its shallow region), the basis
-//!   of the compiled engine's clean-traffic skip lane;
-//! - [`PairTable`] — budgeted dense `state × byte-pair` transition rows
-//!   over the DFA's hot states, the basis of the compiled engine's
-//!   stride-2 pair-stepping lane.
+//!   of the compiled engine's clean-traffic skip lane.
 //!
 //! ## Quick example
 //!
@@ -52,7 +49,6 @@ mod dfa;
 mod match_event;
 mod naive;
 mod nfa;
-mod pair;
 mod pattern;
 mod proptests;
 mod shard;
@@ -75,7 +71,6 @@ pub use dfa::{Dfa, DfaMatcher};
 pub use match_event::{Match, MultiMatcher};
 pub use naive::NaiveMatcher;
 pub use nfa::{CountedScan, Nfa, NfaMatcher};
-pub use pair::PairTable;
 pub use pattern::{PatternId, PatternSet, PatternSetError, MAX_PATTERN_LEN};
 pub use shard::{ShardCostModel, ShardPlan, ShardPlanError, ShardSpec, SplitStrategy};
 pub use stats::DfaStats;

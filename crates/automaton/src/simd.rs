@@ -1,22 +1,21 @@
 //! x86 SIMD classification kernels for the compiled engine's fast lanes
 //! (the `simd` cargo feature).
 //!
-//! Three PRs of safe-Rust lane work hit the same ceiling: the scalar
+//! Safe-Rust lane work hit the same ceiling more than once: the scalar
 //! SWAR window classifies 8 bytes per iteration through a byte-table
-//! fold, the pair-calm window probes 4 pairs through four dependent
-//! bitmap loads, and the chained pair-row walk serializes on its table
-//! load with no way to express a prefetch. Each time the recorded next
-//! lever was shuffle-based classification — the technique modern
-//! software DPI engines (Hyperscan's "shufti", the Hyperflex line of
-//! work) are built on. This module admits exactly that much `unsafe`:
+//! fold, and the per-byte danger walk tests one `(prev, byte)` key per
+//! bitmap load. The recorded next lever was shuffle-based
+//! classification — the technique modern software DPI engines
+//! (Hyperscan's "shufti", the Hyperflex line of work) are built on.
+//! This module admits exactly that much `unsafe`:
 //!
 //! - [`ByteSetTables`] — a 64-byte nibble-split representation of an
 //!   **arbitrary** byte set, queried 16 or 32 bytes per `pshufb` pair;
+//! - [`PairCover`] — a nibble-box cover of a `(prev, byte)` relation,
+//!   probed 16 or 32 keys at a time by the danger walk;
 //! - [`SimdToken`] — a runtime-detection witness whose existence proves
 //!   the CPU supports the instructions, making every vector entry point
-//!   on it a *safe* function;
-//! - [`SimdToken::prefetch`] — `_mm_prefetch` on a reference, for the
-//!   chained hot-row walk.
+//!   on it a *safe* function.
 //!
 //! # Soundness
 //!
@@ -40,8 +39,8 @@
 //! bitmaps they mirror) is not an `unsafe` precondition — it is pinned
 //! by [`ByteSetTables::model_contains`], a safe scalar model of the
 //! shuffle algebra that `tests/simd.rs` checks against both the vector
-//! kernels and the source [`AnchorSet`](crate::AnchorSet) /
-//! [`PairTable`](crate::PairTable) bitmaps over the full key space.
+//! kernels and the source [`AnchorSet`](crate::AnchorSet) bitmaps over
+//! the full key space.
 //!
 //! # The nibble-split construction
 //!
@@ -69,9 +68,8 @@ use std::arch::x86_64::*;
 ///
 /// Plain data — building and modelling it is safe on every target; only
 /// the vector queries (through [`SimdToken`]) touch intrinsics. 64 bytes
-/// per set, so an [`AnchorSet`](crate::AnchorSet) or
-/// [`PairTable`](crate::PairTable) carries its tables at no meaningful
-/// memory cost.
+/// per set, so an [`AnchorSet`](crate::AnchorSet) carries its tables at
+/// no meaningful memory cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ByteSetTables {
     /// Plane 1 (`hi < 8`): per lo-nibble, the set of hi rows present.
@@ -498,24 +496,6 @@ impl SimdToken {
             unsafe { danger_scan_ssse3(cover, chunk, i) }
         }
     }
-
-    /// Issues a best-effort L1 prefetch of the cache line holding `r` —
-    /// the chained pair-row walk calls this on the *next* pair's word
-    /// the moment the current word (and with it the next row index)
-    /// arrives, overlapping the table-load latency the safe-Rust touch
-    /// prefetch could only pay for. A hint only: no memory is read or
-    /// written, so any reference is a valid argument.
-    #[inline(always)]
-    pub fn prefetch<T>(self, r: &T) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `_mm_prefetch` is a hint instruction available on
-        // every x86_64 CPU (SSE is baseline); it performs no access.
-        unsafe {
-            _mm_prefetch::<_MM_HINT_T0>(r as *const T as *const i8);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = r;
-    }
 }
 
 /// One two-plane shuffle classification of 16 bytes.
@@ -820,15 +800,6 @@ mod tests {
                 );
             }
             i = base + width;
-        }
-    }
-
-    /// Prefetch is a pure hint — callable on any reference.
-    #[test]
-    fn prefetch_is_inert() {
-        if let Some(tok) = SimdToken::detect() {
-            let data = [1u32, 2, 3];
-            tok.prefetch(&data[2]);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! word decoding (it exists for verification, not speed).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dpi_automaton::{AnchorSet, Dfa, DfaMatcher, Match, MultiMatcher, Nfa, NfaMatcher, PairTable};
+use dpi_automaton::{AnchorSet, Dfa, DfaMatcher, Match, MultiMatcher, Nfa, NfaMatcher};
 use dpi_baselines::{BitmapAc, BitmapMatcher, PathAc, PathMatcher};
 use dpi_core::{CompiledAutomaton, CompiledMatcher, DtpConfig, DtpMatcher, ReducedAutomaton};
 use dpi_hw::{HwImage, HwMatcher};
@@ -23,15 +23,9 @@ fn bench_scans(c: &mut Criterion) {
     let nfa = Nfa::build(&set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    let profile = TrafficGenerator::new(0x9A9A).clean_packet(128 << 10).payload;
-    let pairs =
-        PairTable::build_profiled(&dfa, &set, &anchors, PairTable::DEFAULT_BUDGET, &profile);
-    // The shipped lane stack plus one variant automaton per A/B row:
-    // each row scans the lanes its automaton was built with.
-    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone())
-        .with_pair_table(pairs.clone());
-    let nopairs = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
-    let noprefilter = CompiledAutomaton::compile(&reduced).with_pair_table(pairs);
+    // The shipped lane stack plus the bare stepper: each row scans the
+    // lanes its automaton was built with.
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
     let stepper = CompiledAutomaton::compile(&reduced);
     let image = HwImage::build(&reduced).expect("fits");
     let bitmap = BitmapAc::build(&set);
@@ -48,16 +42,9 @@ fn bench_scans(c: &mut Criterion) {
         let m = DtpMatcher::new(&reduced, &set);
         b.iter(|| black_box(m.find_all(black_box(p))));
     });
-    // "compiled" rows track the shipped default (prefilter lane plus the
-    // stride-2 pair layer); "-nopairs" isolates the pair layer against
-    // the lane alone, "-noprefilter" the pairs-only core, and
+    // "compiled" rows track the shipped default (the prefilter lane);
     // "-stepper" the bare byte stepper — on infected and clean payloads.
-    for (label, automaton) in [
-        ("compiled", &compiled),
-        ("compiled-nopairs", &nopairs),
-        ("compiled-noprefilter", &noprefilter),
-        ("compiled-stepper", &stepper),
-    ] {
+    for (label, automaton) in [("compiled", &compiled), ("compiled-stepper", &stepper)] {
         let m = CompiledMatcher::new(automaton, &set);
         for (traffic, p) in [("300", &payload), ("300-clean", &clean)] {
             group.bench_with_input(

@@ -6,10 +6,9 @@
 //!
 //! Experiments: `fig1 fig2 fig3 fig6 table1 table2 table3 fig7 fig8
 //! ablation-k2 ablation-depth match-sharing m144k asic adversarial
-//! sim-validate sw-throughput sw-throughput-clean sw-throughput-stride
-//! sw-throughput-simd sharded-throughput two-stage flow-throughput
-//! stream-robustness service-robustness protocol-robustness swap-drain
-//! all`.
+//! sim-validate sw-throughput sw-throughput-clean sw-throughput-simd
+//! sharded-throughput two-stage flow-throughput stream-robustness
+//! service-robustness protocol-robustness swap-drain all`.
 //!
 //! `sw-throughput-simd` needs the `simd` cargo feature
 //! (`cargo run --release --features simd -p dpi-bench --bin repro --
@@ -55,7 +54,6 @@ fn main() {
         ("sim-validate", sim_validate),
         ("sw-throughput", sw_throughput),
         ("sw-throughput-clean", sw_throughput_clean),
-        ("sw-throughput-stride", sw_throughput_stride),
         ("sw-throughput-simd", sw_throughput_simd),
         ("sharded-throughput", sharded_throughput),
         ("two-stage", two_stage),
@@ -763,8 +761,7 @@ fn best_secs(reps: usize, mut scan: impl FnMut() -> usize) -> (f64, usize) {
 }
 
 /// One measured on/off A/B pair, shared by every experiment that
-/// compares a fast-path switch against its baseline (`sw-throughput`,
-/// `sw-throughput-clean`, `sw-throughput-stride`): alternates the two
+/// compares a fast-path switch against its baseline: alternates the two
 /// scans rep by rep and takes each side's best, so slow clock drift
 /// (thermal throttling, noisy neighbors) hits both sides equally
 /// instead of biasing whichever ran second.
@@ -822,27 +819,16 @@ fn ab_bench_row(
 /// accelerator, and records the speedup of compiling the reduced
 /// automaton into CSR/branch-free form.
 fn sw_throughput() {
-    use dpi_automaton::{AnchorSet, DfaMatcher, Match, MultiMatcher, PairTable};
+    use dpi_automaton::{AnchorSet, DfaMatcher, Match, MultiMatcher};
     use dpi_core::{CompiledAutomaton, CompiledMatcher, DtpMatcher};
 
     const PAYLOAD: usize = 1 << 20;
     let set = dpi_rulesets::extract_preserving(&master_ruleset(), 300, 42);
     let dfa = Dfa::build(&set);
     let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
+    // The production stack: the anchor skip lane.
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    // The production stack: anchor lane plus the stride-2 pair layer,
-    // hot rows ranked by a profile scan over *separate* clean traffic
-    // (never the benchmark payload).
-    let profile = TrafficGenerator::new(0x9A9A).clean_packet(256 * 1024).payload;
-    let pairs = PairTable::build_profiled(
-        &dfa,
-        &set,
-        &anchors,
-        PairTable::DEFAULT_BUDGET,
-        &profile,
-    );
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
     let mut gen = TrafficGenerator::new(99);
     let payload = gen.infected_packet(PAYLOAD, &set, 64).payload;
 
@@ -888,7 +874,7 @@ fn sw_throughput() {
     }
     assert_eq!(dtp_matches, fast_matches, "scanners must agree to be comparable");
     println!(
-        "\n(compiled speedup: CSR flat layout, stride-specialized branch-free\n LUT resolution, accept bits folded into transition words, buffer\n reuse, the anchor-byte skip lane over the payload's clean majority\n (A/B in `sw-throughput-clean`), and the stride-2 pair layer over the\n lane's danger bytes and excursions (A/B in `sw-throughput-stride`).\n full_dfa trades ~26x the memory for a plain scan the compiled path\n overtakes)"
+        "\n(compiled speedup: CSR flat layout, stride-specialized branch-free\n LUT resolution, accept bits folded into transition words, buffer\n reuse and the anchor-byte skip lane over the payload's clean majority\n (A/B in `sw-throughput-clean`).\n full_dfa trades ~26x the memory for a plain scan the compiled path\n overtakes)"
     );
 }
 
@@ -993,14 +979,13 @@ fn sw_throughput_clean() {
 }
 
 /// SIMD scan lane: the `simd` feature's on/off A/B
-/// (`dpi_automaton::simd` + the compiled engine's vector window
-/// probes and hot-row prefetch).
+/// (`dpi_automaton::simd` + the compiled engine's vector danger walk).
 ///
-/// Three interleaved A/B pairs per ruleset size, both sides the same
-/// matcher with only [`dpi_core::CompiledMatcher::with_simd`] flipped — so every
-/// pair isolates exactly one kernel:
+/// Interleaved A/B pairs per ruleset size, both sides the same matcher
+/// with only [`dpi_core::CompiledMatcher::with_simd`] flipped — so every
+/// pair isolates the one kernel the feature changes:
 ///
-/// - **window** (prefilter on, pairs off): the scalar danger walk vs
+/// - **window** (the shipped skip-lane stack): the scalar danger walk vs
 ///   the 16/32-byte nibble-box vector walk on generator traffic. These
 ///   rows are *exit-bound*: on generator clean traffic at 300 rules a
 ///   danger byte lands every ~51 bytes on average (median lane span is
@@ -1011,19 +996,12 @@ fn sw_throughput_clean() {
 ///   clean payload (bytes that are non-skippable — defeating the SWAR
 ///   skip window — and never danger under any history). This isolates
 ///   the lane walk itself, which is the thing the `simd` feature
-///   rebuilds, and carries the >=2x assertion;
-/// - **stack** (prefilter + pairs, the production stack): the full
-///   lane stack with the vector danger walk in the prefilter lane;
-/// - **pairsonly** (compiled without the skip lane, pairs on,
-///   infected): the chained
-///   pair-row walk with vs without `_mm_prefetch` on the next row —
-///   the prefetch kernel in isolation (the only thing `simd` changes
-///   in that lane).
+///   rebuilds, and carries the >=2x assertion.
 ///
 /// Requires the `simd` cargo feature; prints a note and emits no rows
 /// otherwise, so the portable bench pipeline is unaffected.
 fn sw_throughput_simd() {
-    use dpi_automaton::{AnchorSet, Match, PairTable};
+    use dpi_automaton::{AnchorSet, Match};
     use dpi_core::{CompiledAutomaton, CompiledMatcher};
 
     const PAYLOAD: usize = 1 << 20;
@@ -1035,14 +1013,13 @@ fn sw_throughput_simd() {
         return;
     }
 
-    println!("simd scan lane (nibble-split shuffle windows + hot-row prefetch), 1 MiB payloads, on/off A/B\n");
+    println!("simd scan lane (nibble-split shuffle danger walk), 1 MiB payloads, on/off A/B\n");
     println!(
-        "{}{}{}{}{}matches",
+        "{}{}{}{}matches",
         cell("workload", 26),
         cell("off MB/s", 10),
         cell("on MB/s", 10),
         cell("speedup", 9),
-        cell("kernel", 10),
     );
     let master = master_ruleset();
     let mut window_speedups: Vec<(String, String, f64)> = Vec::new();
@@ -1053,9 +1030,6 @@ fn sw_throughput_simd() {
         let dfa = Dfa::build(&set);
         let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
         let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-        let profile = TrafficGenerator::new(0x9A9A).clean_packet(256 * 1024).payload;
-        let pairs =
-            PairTable::build_profiled(&dfa, &set, &anchors, PairTable::DEFAULT_BUDGET, &profile);
         // Exit-free clean payload: bytes the SWAR skip window cannot
         // skip, yet which never raise danger under any history —
         // the lane consumes them wholesale in both builds, zero
@@ -1083,12 +1057,7 @@ fn sw_throughput_simd() {
                 .map(|i| if i % 2 == 0 { x } else { y })
                 .collect()
         });
-        // One automaton per lane stack under test: window (skip lane
-        // only), the full stack, and pairs only.
         let window = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone());
-        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors)
-            .with_pair_table(pairs.clone());
-        let pairsonly = CompiledAutomaton::compile(&reduced).with_pair_table(pairs);
         let mut gen = TrafficGenerator::new(0x51D0);
         let clean = gen.clean_packet(PAYLOAD).payload;
         let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
@@ -1099,34 +1068,21 @@ fn sw_throughput_simd() {
         // the two-stage experiment runs on.
         let tls = TrafficGenerator::new(0x715_0DD).tls_stream(PAYLOAD).payload;
 
-        // (configuration, kernel isolated, traffic) per A/B pair.
-        let window_on = CompiledMatcher::new(&window, &set);
-        let window_off = window_on.clone().with_simd(false);
-        let stack_on = CompiledMatcher::new(&compiled, &set);
-        let stack_off = stack_on.clone().with_simd(false);
-        let pairsonly_on = CompiledMatcher::new(&pairsonly, &set);
-        let pairsonly_off = pairsonly_on.clone().with_simd(false);
-        assert!(
-            window_on.simd() && stack_on.simd() && pairsonly_on.simd(),
-            "simd_available() implies matcher tokens"
-        );
+        let on = CompiledMatcher::new(&window, &set);
+        let off = on.clone().with_simd(false);
+        assert!(on.simd(), "simd_available() implies matcher tokens");
 
-        let mut rows: Vec<(&str, &CompiledMatcher, &CompiledMatcher, &Vec<u8>, &str)> = vec![
-            ("window-clean", &window_off, &window_on, &clean, "shuffle"),
-            ("window-tls", &window_off, &window_on, &tls, "shuffle"),
-            ("window-infected", &window_off, &window_on, &infected, "shuffle"),
-            ("stack-clean", &stack_off, &stack_on, &clean, "shuffle"),
-            ("pairsonly-infected", &pairsonly_off, &pairsonly_on, &infected, "prefetch"),
+        let mut rows: Vec<(&str, &Vec<u8>)> = vec![
+            ("window-clean", &clean),
+            ("window-tls", &tls),
+            ("window-infected", &infected),
         ];
         if let Some(laneclean) = laneclean.as_ref() {
             if label == "300" {
-                rows.insert(
-                    1,
-                    ("window-laneclean", &window_off, &window_on, laneclean, "shuffle"),
-                );
+                rows.insert(1, ("window-laneclean", laneclean));
             }
         }
-        for (kind, off, on, payload, kernel) in rows {
+        for (kind, payload) in rows {
             let mut buf: Vec<Match> = Vec::with_capacity(1024);
             let mut buf2: Vec<Match> = Vec::with_capacity(1024);
             let row = ab_bench_row(
@@ -1142,16 +1098,15 @@ fn sw_throughput_simd() {
                     buf2.len()
                 },
             );
-            if kind == "window-clean" || kind == "window-laneclean" || kind == "window-tls" {
+            if kind != "window-infected" {
                 window_speedups.push((label.to_string(), kind.to_string(), row.speedup()));
             }
             println!(
-                "{}{}{}{}{}{}",
+                "{}{}{}{}{}",
                 cell(&format!("[{label}] {kind}"), 26),
                 cell(&format!("{:.0}", PAYLOAD as f64 / row.off_secs / 1e6), 10),
                 cell(&format!("{:.0}", PAYLOAD as f64 / row.on_secs / 1e6), 10),
                 cell(&format!("{:.2}x", row.speedup()), 9),
-                cell(kernel, 10),
                 row.matches
             );
         }
@@ -1182,136 +1137,7 @@ fn sw_throughput_simd() {
         "no exit-free byte pair at 300 rules — laneclean row missing"
     );
     println!(
-        "\n(window rows run the vector danger walk — nibble-box pshufb cover of\n the (prev, byte) danger relation, 16/32 bytes per probe, flagged\n positions re-checked against the exact bitmap — against the scalar\n per-byte danger walk. generator-traffic rows are exit-bound (median\n lane span 13 bytes at 300 rules) and assert no-regression; the\n laneclean row is exit-free and carries the 2x target. pairsonly rows\n isolate _mm_prefetch on the chained hot-row walk — the only simd\n change in that lane; its win is capacity-miss dependent, so expect\n parity at cache-resident sizes. matches are asserted identical for\n every pairing — the lane is scan-invisible)"
-    );
-}
-
-/// Stride-2 pair layer: the on/off A/B of the budgeted hot-state pair
-/// rows composed with the anchor lane (`dpi_automaton::PairTable` +
-/// the compiled engine's pair lanes).
-///
-/// Both sides run the anchor lane; "off" is the same automaton compiled
-/// without the pair table, which isolates the pair layer:
-/// region pair rows (the stride-2 calm/follow walk and windows) plus
-/// profile-ranked hot rows (excursion pair-stepping, two bytes per
-/// chained load). Rows are measured whole-payload (the payload streams
-/// through the cache) and cache-warm (a 256 KiB slice rescanned, the
-/// per-core-shard regime) — the layer's benefit is cache-residency-
-/// dependent, and both numbers are the truth.
-///
-/// BENCH_JSON rows are emitted for every row printed.
-fn sw_throughput_stride() {
-    use dpi_automaton::{AnchorSet, Match, PairTable};
-    use dpi_core::{CompiledAutomaton, CompiledMatcher};
-
-    const PAYLOAD: usize = 1 << 20;
-    const WARM: usize = 256 * 1024;
-
-    println!("stride-2 pair layer, pairs on/off A/B (anchor lane on both sides)\n");
-    println!(
-        "{}{}{}{}matches",
-        cell("workload", 24),
-        cell("off MB/s", 10),
-        cell("on MB/s", 10),
-        cell("speedup", 9),
-    );
-    let master = master_ruleset();
-    let profile = TrafficGenerator::new(0x9A9A).clean_packet(256 * 1024).payload;
-    let mut whole_ratios: Vec<f64> = Vec::new();
-    let mut warm_ratios: Vec<f64> = Vec::new();
-    for (label, set) in [
-        ("300", dpi_rulesets::extract_preserving(&master, 300, 42)),
-        ("6275", master.clone()),
-    ] {
-        let dfa = Dfa::build(&set);
-        let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-        let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-        let pairs = PairTable::build_profiled(
-            &dfa,
-            &set,
-            &anchors,
-            PairTable::DEFAULT_BUDGET,
-            &profile,
-        );
-        let pair_note = format!(
-            "[{label}] pair layer: {} hot rows, region rows {}, {} B resident ({} B row budget)",
-            pairs.hot_states(),
-            if pairs.has_region_rows() { "yes" } else { "no" },
-            pairs.memory_bytes(),
-            pairs.budget_bytes(),
-        );
-        let lane_only = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
-        let compiled = lane_only.clone().with_pair_table(pairs);
-        assert!(compiled.pairs().is_some());
-        let on = CompiledMatcher::new(&compiled, &set);
-        let off = CompiledMatcher::new(&lane_only, &set);
-        let mut gen = TrafficGenerator::new(99);
-        let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
-        let clean = gen.clean_packet(PAYLOAD).payload;
-        let mut buf: Vec<Match> = Vec::with_capacity(1024);
-        let mut buf2: Vec<Match> = Vec::with_capacity(1024);
-        for (traffic, payload, len) in [
-            ("infected", &infected[..], PAYLOAD),
-            ("clean", &clean[..], PAYLOAD),
-            ("infected-warm", &infected[..WARM], WARM),
-        ] {
-            let row = ab_bench_row(
-                &format!("sw-throughput-stride/{label}-{traffic}"),
-                len,
-                9,
-                || {
-                    off.scan_into(payload, &mut buf);
-                    buf.len()
-                },
-                || {
-                    on.scan_into(payload, &mut buf2);
-                    buf2.len()
-                },
-            );
-            if traffic == "infected" {
-                whole_ratios.push(row.speedup());
-            }
-            if traffic == "infected-warm" {
-                warm_ratios.push(row.speedup());
-            }
-            println!(
-                "{}{}{}{}{}",
-                cell(&format!("[{label}] {traffic}"), 24),
-                cell(&format!("{:.0}", len as f64 / row.off_secs / 1e6), 10),
-                cell(&format!("{:.0}", len as f64 / row.on_secs / 1e6), 10),
-                cell(&format!("{:.2}x", row.speedup()), 9),
-                row.matches
-            );
-        }
-        println!("{pair_note}");
-    }
-    // Floors sit well below the design targets so hardware variance
-    // cannot flake CI; a measurement under them means the layer broke.
-    // Whole-payload: the layer must never regress beyond noise.
-    for r in &whole_ratios {
-        assert!(
-            *r >= 0.85,
-            "pairs-on regressed the whole-payload scan: {r:.2}x (floor 0.85x)"
-        );
-    }
-    // Cache-warm: the stride-2 layer must actually pay where the
-    // payload is resident (measured 1.1-1.5x on the 300-rule row).
-    // The hard floor sits below the build-to-build noise band (README:
-    // +/-15% between builds) so code-layout shifts cannot flake CI; a
-    // measurement under it means the layer actually broke.
-    assert!(
-        warm_ratios[0] >= 0.9,
-        "cache-warm stride speedup collapsed: {:.2}x (floor 0.9x)",
-        warm_ratios[0]
-    );
-    if warm_ratios[0] < 1.05 {
-        eprintln!(
-            "warning: cache-warm stride speedup {:.2}x below the 1.1x target on this host",
-            warm_ratios[0]
-        );
-    }
-    println!(
-        "\n(both sides run the anchor lane; off is the same automaton built\n without the pair table. region pair rows make the lane's danger\n walk stride-2 — the follow row consumes a byte's successor at ~97%\n branch bias, the calm row resolves two thirds of danger hits without the exit/rebuild/\n stepper-wake round trip, and calm-quad windows skip binary regions\n the skip bitmap cannot — while profile-ranked hot rows pair-step the\n remaining excursions two bytes per chained load. the whole-payload\n rows stream 1 MiB through the cache hierarchy; the warm rows rescan\n a 256 KiB slice — the regime a per-core shard actually runs in — and\n show the layer's headroom once payload residency stops dominating)"
+        "\n(window rows run the vector danger walk — nibble-box pshufb cover of\n the (prev, byte) danger relation, 16/32 bytes per probe, flagged\n positions re-checked against the exact bitmap — against the scalar\n per-byte danger walk. generator-traffic rows are exit-bound (median\n lane span 13 bytes at 300 rules) and assert no-regression; the\n laneclean row is exit-free and carries the 2x target. matches are\n asserted identical for every pairing — the lane is scan-invisible)"
     );
 }
 
@@ -1339,19 +1165,12 @@ fn sharded_throughput() {
     let set = master_ruleset();
     let dfa = Dfa::build(&set);
     let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-    // The monolith baseline carries the same prefilter + pair-layer
-    // defaults the shards do, so the shard-vs-monolith ratios compare
-    // layouts, not lane availability.
+    // The monolith baseline carries the same skip lane the shards do,
+    // so the shard-vs-monolith ratios compare layouts, not lane
+    // availability.
     let anchors =
         dpi_automaton::AnchorSet::build(&dfa, &set, dpi_automaton::AnchorSet::DEFAULT_HORIZON);
-    let pairs = dpi_automaton::PairTable::build_with_region(
-        &dfa,
-        &set,
-        &anchors,
-        dpi_core::sharded::ShardedConfig::DEFAULT_PAIR_BUDGET,
-    );
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
     let mut gen = TrafficGenerator::new(0x5AD);
     let payload = gen.infected_packet(PAYLOAD, &set, 64).payload;
 
@@ -1458,6 +1277,15 @@ fn sharded_throughput() {
 /// scan is at least as fast per core as the 6,275-rule monolith**,
 /// because stage 1's scan tables are budget-bounded (cache-resident at
 /// any rule count) and clean traffic almost never leaves stage 1.
+/// The monolith and both two-stage scanners are timed in one
+/// interleaved loop — each rep scans all three, rotating which goes
+/// first — and each row is its side's median, so clock drift and
+/// noisy neighbours move every row together and the CI ratio gate
+/// compares like with like. Each timed scan follows an untimed one by
+/// the same scanner: a core dedicated to one ruleset keeps its tables
+/// in L2, and without the warm-up every sample would charge the
+/// cache-resident stage 1 an L2 refill the monolith (whose arena
+/// overflows L2 anyway) never pays.
 /// Alongside the throughput rows it emits the honesty counters as
 /// value rows (`bytes_per_iter = 0`, value in the `median_ns` slot):
 /// false-positive window rate and replay fraction in parts-per-million,
@@ -1470,6 +1298,7 @@ fn two_stage() {
     use dpi_rulesets::RulesetGenerator;
 
     const PAYLOAD: usize = 1 << 20;
+    const REPS: usize = 41;
     let tls = TrafficGenerator::new(0x715_0DD).tls_stream(PAYLOAD).payload;
     // Profile sample from a *different* stream than the measured one, so
     // profile-guided layers cannot overfit the benchmark input.
@@ -1484,30 +1313,74 @@ fn two_stage() {
     let mbps = |secs: f64| PAYLOAD as f64 / secs / 1e6;
 
     // Baseline: the 6,275-rule monolith with its whole fast-path stack
-    // (prefilter anchors + pair lane), exactly as `sharded-throughput`
-    // builds it.
+    // (the anchor skip lane), exactly as `sharded-throughput` builds it.
     let master = master_ruleset();
     let dfa = Dfa::build(&master);
     let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors =
         dpi_automaton::AnchorSet::build(&dfa, &master, dpi_automaton::AnchorSet::DEFAULT_HORIZON);
-    let pairs = dpi_automaton::PairTable::build_with_region(
-        &dfa,
-        &master,
-        &anchors,
-        dpi_core::sharded::ShardedConfig::DEFAULT_PAIR_BUDGET,
-    );
-    let compiled =
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+    let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
     let mono = CompiledMatcher::new(&compiled, &master);
+
+    let mut stages = Vec::new();
+    for rules in [25_000usize, 100_000] {
+        let set = RulesetGenerator::new().generate(rules);
+        // Stage 1 gets the whole per-core L2 (2 MiB on current server
+        // cores). The frontier depth is no longer hand-pinned per
+        // ruleset scale: the profiled build sweeps candidate depths,
+        // measures each cover's real table size and flag rate on the
+        // sample stream, and keeps the best cost-model pick (see
+        // `PrefixCover::build_depth_tuned`). Stage 2 is replay-only, so
+        // it wants few big shards (fewer automata walked per replayed
+        // byte), not cache-resident ones.
+        let mut config = TwoStageConfig::with_cores(1);
+        config.approx = dpi_automaton::ApproxConfig::with_budget(2 << 20);
+        config.exact.budget_bytes = 8 << 20;
+        let two = TwoStageMatcher::build_with_profile(&set, &config, &sample)
+            .expect("generated set fits the shard plan");
+        stages.push((rules, set, config, two));
+    }
+
+    // Clean-TLS rates: monolith, 25k and 100k scanned back to back in
+    // every rep, each side's median reported.
     let mut buf: Vec<Match> = Vec::with_capacity(1024);
-    let (mono_secs, mono_matches) = best_secs(5, || {
-        mono.scan_into(&tls, &mut buf);
-        buf.len()
-    });
+    let mut scratches: Vec<_> = stages.iter().map(|(.., two)| two.scratch()).collect();
+    let mut outs: Vec<Vec<Match>> = stages.iter().map(|_| Vec::with_capacity(1024)).collect();
+    let mut scan = |side: usize| {
+        if side == 0 {
+            mono.scan_into(&tls, &mut buf);
+            buf.len()
+        } else {
+            let two = &stages[side - 1].3;
+            two.scan_into(&tls, &mut scratches[side - 1], &mut outs[side - 1]);
+            outs[side - 1].len()
+        }
+    };
+    let sides = 1 + stages.len();
+    let mut times = vec![Vec::with_capacity(REPS); sides];
+    let mut matches = vec![0usize; sides];
+    for rep in 0..REPS {
+        for k in 0..sides {
+            let side = (rep + k) % sides;
+            scan(side);
+            let start = std::time::Instant::now();
+            matches[side] = scan(side);
+            times[side].push(start.elapsed().as_secs_f64());
+        }
+    }
+    let medians: Vec<f64> = times
+        .iter_mut()
+        .map(|t| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        })
+        .collect();
+    let mono_secs = medians[0];
     emit("monolith-6275-tls", mono_secs);
 
-    println!("two-stage scan vs monolith, 1 MiB clean TLS stream\n");
+    println!(
+        "two-stage scan vs monolith, 1 MiB clean TLS stream, median of {REPS} interleaved reps\n"
+    );
     println!(
         "{}{}{}{}{}{}vs monolith",
         cell("scanner", 24),
@@ -1532,31 +1405,15 @@ fn two_stage() {
     println!(
         "{}  ({} short-rule matches in the TLS stream)",
         cell("", 24),
-        thousands(mono_matches),
+        thousands(matches[0]),
     );
 
-    for rules in [25_000usize, 100_000] {
-        let set = RulesetGenerator::new().generate(rules);
-        // Stage 1 gets the whole per-core L2 (2 MiB on current server
-        // cores). The frontier depth is no longer hand-pinned per
-        // ruleset scale: the profiled build sweeps candidate depths,
-        // measures each cover's real table size and flag rate on the
-        // sample stream, and keeps the best cost-model pick (see
-        // `PrefixCover::build_depth_tuned`). Stage 2 is replay-only, so
-        // it wants few big shards (fewer automata walked per replayed
-        // byte), not cache-resident ones.
-        let mut config = TwoStageConfig::with_cores(1);
-        config.approx = dpi_automaton::ApproxConfig::with_budget(2 << 20);
-        config.exact.budget_bytes = 8 << 20;
-        let two = TwoStageMatcher::build_with_profile(&set, &config, &sample)
-            .expect("generated set fits the shard plan");
-        let mut scratch = two.scratch();
-        let mut out: Vec<Match> = Vec::with_capacity(1024);
-        let (secs, _) = best_secs(5, || {
-            two.scan_into(&tls, &mut scratch, &mut out);
-            out.len()
-        });
-        let stats = two.scan_into(&tls, &mut scratch, &mut out);
+    for (i, (rules, set, config, two)) in stages.iter().enumerate() {
+        let rules = *rules;
+        let secs = medians[i + 1];
+        let scratch = &mut scratches[i];
+        let out = &mut outs[i];
+        let stats = two.scan_into(&tls, scratch, out);
         let tag = format!("rules{}k", rules / 1000);
         emit(&format!("{tag}-tls"), secs);
         value(&format!("{tag}-replay-ppm"), stats.replay_fraction() * 1e6);
@@ -1570,16 +1427,16 @@ fn two_stage() {
         // The speed is only admissible if the composition stays exact:
         // replay an infected stream through both engines.
         let mut gen = TrafficGenerator::new(0xBAD_F00D ^ rules as u64);
-        let infected = gen.infected_packet(1 << 18, &set, 48).payload;
-        let exact = ShardedMatcher::build(&set, &config.exact).expect("same plan as stage 2");
+        let infected = gen.infected_packet(1 << 18, set, 48).payload;
+        let exact = ShardedMatcher::build(set, &config.exact).expect("same plan as stage 2");
         let mut ex_scratch = exact.scratch();
         let mut want: Vec<Match> = Vec::new();
         exact.scan_into(&infected, &mut ex_scratch, &mut want);
         let mut got: Vec<Match> = Vec::new();
-        let inf_stats = two.scan_into(&infected, &mut scratch, &mut got);
+        let inf_stats = two.scan_into(&infected, scratch, &mut got);
         assert_eq!(got, want, "two-stage diverged from exact at {rules} rules");
         let (inf_secs, _) = best_secs(3, || {
-            two.scan_into(&infected, &mut scratch, &mut got);
+            two.scan_into(&infected, scratch, &mut got);
             got.len()
         });
         dpi_bench::bench_json_row(
@@ -1649,14 +1506,7 @@ fn flow_throughput() {
             &set,
             dpi_automaton::AnchorSet::DEFAULT_HORIZON,
         );
-        let pairs = dpi_automaton::PairTable::build_with_region(
-            &dfa,
-            &set,
-            &anchors,
-            dpi_automaton::PairTable::DEFAULT_BUDGET,
-        );
-        let compiled =
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs);
+        let compiled = CompiledAutomaton::compile_with_prefilter(&reduced, anchors);
         let matcher = CompiledMatcher::new(&compiled, &set);
         let mut gen = TrafficGenerator::new(0xF70);
         let payload = gen.infected_packet(PAYLOAD, &set, 64).payload;

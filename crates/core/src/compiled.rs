@@ -33,10 +33,9 @@
 //!
 //! [`CompiledMatcher`] scans packets over the compiled form with an
 //! allocation-free [`CompiledMatcher::scan_into`], a visitor API, and
-//! early-exit `is_match`/`count` fast paths. The fast lanes it runs are
-//! the ones the automaton carries — anchor tables select the skip lane,
-//! a pair table the stride-2 lane, both the composed lane — so the lane
-//! stack is decided once, when the automaton is built.
+//! early-exit `is_match`/`count` fast paths. The fast lane it runs is
+//! the one the automaton carries — anchor tables select the skip lane —
+//! so the lane stack is decided once, when the automaton is built.
 //!
 //! Equivalence with [`DtpMatcher`](crate::DtpMatcher) (and therefore with
 //! the full DFA) is asserted state-trace-for-state-trace by
@@ -48,9 +47,7 @@
 use crate::reduce::ReducedAutomaton;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use dpi_automaton::simd::SimdToken;
-use dpi_automaton::{
-    AnchorSet, Match, MultiMatcher, PairTable, PatternId, PatternSet, ScanState, StateId,
-};
+use dpi_automaton::{AnchorSet, Match, MultiMatcher, PatternId, PatternSet, ScanState, StateId};
 
 /// History-register value meaning "no byte observed yet" (one past any
 /// byte value, so it can never compare equal to a stored compare key).
@@ -104,10 +101,6 @@ pub const OUTPUT_FLAG: u32 = 1 << 31;
 /// Mask extracting the state index from a tagged transition word.
 pub const STATE_MASK: u32 = OUTPUT_FLAG - 1;
 
-// The pair lane reads [`PairTable::FIN_ACCEPT`] directly as a tagged
-// accept bit; the two encodings must stay in lockstep.
-const _: () = assert!(PairTable::FIN_ACCEPT == OUTPUT_FLAG);
-
 /// A [`ReducedAutomaton`] compiled into flat, pointer-free parallel
 /// arrays for scanning. Build once with [`CompiledAutomaton::compile`],
 /// scan with [`CompiledMatcher`].
@@ -158,12 +151,6 @@ pub struct CompiledAutomaton {
     /// [`AnchorSet`]); `None` when compiled without
     /// [`CompiledAutomaton::compile_with_prefilter`].
     prefilter: Option<AnchorSet>,
-
-    // --- stride-2 fast lane ---
-    /// Budgeted hot-state pair rows enabling the stride-2 pair-stepping
-    /// lane (see [`PairTable`]); `None` unless attached with
-    /// [`CompiledAutomaton::with_pair_table`].
-    pairs: Option<PairTable>,
 }
 
 impl CompiledAutomaton {
@@ -276,7 +263,6 @@ impl CompiledAutomaton {
             out_offsets,
             out_patterns,
             prefilter: None,
-            pairs: None,
         }
     }
 
@@ -312,36 +298,6 @@ impl CompiledAutomaton {
         self.prefilter.as_ref()
     }
 
-    /// Attaches a stride-2 pair-transition layer: matchers over this
-    /// automaton run the pair-stepping lane (see [`PairTable`]). An
-    /// empty table is dropped, so [`CompiledAutomaton::pairs`] is `Some`
-    /// exactly when the lane runs. Composes with either compile entry
-    /// point — with the prefilter, the skip lane hands off into the pair
-    /// lane at every hard exit.
-    ///
-    /// `pairs` must be built from the same DFA this automaton was
-    /// reduced from — pair words name this automaton's state ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` was derived from an automaton with a different
-    /// state count.
-    pub fn with_pair_table(mut self, pairs: PairTable) -> CompiledAutomaton {
-        assert_eq!(
-            pairs.states(),
-            self.len(),
-            "pair table belongs to a different automaton"
-        );
-        self.pairs = (!pairs.is_empty()).then_some(pairs);
-        self
-    }
-
-    /// The embedded pair-transition layer, when a non-empty one is
-    /// attached.
-    pub fn pairs(&self) -> Option<&PairTable> {
-        self.pairs.as_ref()
-    }
-
     /// Number of states (identical to the source automaton's).
     pub fn len(&self) -> usize {
         self.dense_of.len()
@@ -374,7 +330,6 @@ impl CompiledAutomaton {
             + self.out_offsets.len() * 4
             + self.out_patterns.len() * 4
             + self.prefilter.as_ref().map_or(0, AnchorSet::memory_bytes)
-            + self.pairs.as_ref().map_or(0, PairTable::memory_bytes)
     }
 
     /// Patterns recognized on entering `state`.
@@ -661,8 +616,8 @@ pub struct CompiledMatcher<'a> {
     /// sets) — one unconditional load per byte instead of a per-byte
     /// branch.
     fold: &'static [u8; 256],
-    /// Detection witness for the SIMD window probes and the hot-row
-    /// prefetch (`Some` on by default when the CPU qualifies; see
+    /// Detection witness for the SIMD danger walk (`Some` on by default
+    /// when the CPU qualifies; see
     /// [`CompiledMatcher::with_simd`]). Absent entirely in portable
     /// builds, so the safe lanes carry no flag check.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -671,10 +626,10 @@ pub struct CompiledMatcher<'a> {
 
 impl<'a> CompiledMatcher<'a> {
     /// Creates a matcher borrowing the compiled automaton and pattern
-    /// set. It runs the lanes the automaton carries: the skip lane when
+    /// set. It runs the lane the automaton carries: the skip lane when
     /// it was compiled with
-    /// [`CompiledAutomaton::compile_with_prefilter`], the pair lane when
-    /// a [`PairTable`] is attached, and the composed lane when both are.
+    /// [`CompiledAutomaton::compile_with_prefilter`], the plain stepper
+    /// otherwise.
     /// Construction copies nothing, so a matcher per packet is free.
     pub fn new(automaton: &'a CompiledAutomaton, set: &'a PatternSet) -> Self {
         CompiledMatcher {
@@ -686,14 +641,13 @@ impl<'a> CompiledMatcher<'a> {
         }
     }
 
-    /// Enables or disables the SIMD fast-lane kernels (16/32-byte
-    /// shuffle window probes and the chained hot-row prefetch) for
-    /// subsequent scans; disabling selects the scalar reference lanes.
-    /// On by default when the crate was built with the `simd` feature on
-    /// x86_64 **and** the CPU supports SSSE3; everywhere else (portable
-    /// builds, non-x86 CPUs) this is a no-op and the safe scalar lanes
-    /// run — observable results are byte-identical either way (pinned
-    /// by `tests/simd.rs`).
+    /// Enables or disables the SIMD fast-lane kernel (the 16/32-byte
+    /// shuffle danger walk) for subsequent scans; disabling selects the
+    /// scalar reference lane. On by default when the crate was built
+    /// with the `simd` feature on x86_64 **and** the CPU supports SSSE3;
+    /// everywhere else (portable builds, non-x86 CPUs) this is a no-op
+    /// and the safe scalar lanes run — observable results are
+    /// byte-identical either way (pinned by `tests/simd.rs`).
     pub fn with_simd(self, enabled: bool) -> Self {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         {
@@ -813,18 +767,6 @@ impl<'a> CompiledMatcher<'a> {
     /// bytes): `0` = window mode; otherwise the walk-run length before
     /// the next probe.
     ///
-    /// With `PAIRS` (a [`PairTable`] with region rows riding along),
-    /// the same phases consume two bytes per test where they can: the
-    /// window criterion becomes four aligned calm-pair bits
-    /// ([`CompiledMatcher::calm_lead`] — strictly more permissive than
-    /// the skip bitmap), the walk consumes a non-danger byte's
-    /// successor whenever the exact follow row allows
-    /// ([`PairTable::is_follow_calm`], ~97 % biased), and a danger hit
-    /// whose two-step outcome is universally calm
-    /// ([`PairTable::is_calm`]) is consumed in-walk instead of
-    /// exiting. Exit semantics, register rebuilding and the `run`
-    /// contract are unchanged.
-    ///
     /// With `SIMD` (a detection token rode in via
     /// [`CompiledMatcher::with_simd`]) and a profitable danger cover
     /// ([`AnchorSet::simd_danger`]), the call routes to
@@ -833,16 +775,15 @@ impl<'a> CompiledMatcher<'a> {
     /// 16/32 `(prev, byte)` danger keys per shuffle probe, consuming
     /// unflagged bytes on exactly the evidence the scalar walk's
     /// per-byte danger test would have used and settling flagged ones
-    /// with the exact bitmap (PAIRS adds the same calm-pair rescue to
-    /// true hits). Exit semantics and the register rebuild are shared,
-    /// so the lanes differ only in how fast they consume provably-inert
-    /// bytes (pinned by `tests/simd.rs`); rule sets whose cover is too
-    /// dense to profit fall through to the scalar lane below.
+    /// with the exact bitmap. Exit semantics and the register rebuild
+    /// are shared, so the lanes differ only in how fast they consume
+    /// provably-inert bytes (pinned by `tests/simd.rs`); rule sets whose
+    /// cover is too dense to profit fall through to the scalar lane
+    /// below.
     #[inline(always)]
-    fn lane_advance<const PAIRS: bool, const SIMD: bool>(
+    fn lane_advance<const SIMD: bool>(
         &self,
         pf: &AnchorSet,
-        pt: Option<&PairTable>,
         regs: &mut ScanRegs,
         chunk: &[u8],
         i0: usize,
@@ -858,9 +799,7 @@ impl<'a> CompiledMatcher<'a> {
                     // with the detected features enabled, so the probe
                     // kernels inline and their shuffle tables load once
                     // per lane entry, not once per probe run.
-                    return tok.dispatch(|| {
-                        self.lane_advance_simd::<PAIRS>(pf, pt, regs, chunk, i0, run)
-                    });
+                    return tok.dispatch(|| self.lane_advance_simd(pf, regs, chunk, i0, run));
                 }
                 // No profitable cover for this rule set: the scalar
                 // lane below is the fast path.
@@ -874,38 +813,17 @@ impl<'a> CompiledMatcher<'a> {
                 if *run == 0 {
                     // Window mode: consume provably-inert 8-byte
                     // windows; a marked window jumps to its first
-                    // trouble spot and opens a short walk run. With the
-                    // pair layer the window criterion is four aligned
-                    // region-pair bits (strictly more permissive than
-                    // the skip bitmap: calm pairs cover candidate bytes
-                    // whose two-step outcome stays in the region, which
-                    // on binary payload regions succeeds where all-8
-                    // skippable windows almost never do); without it,
-                    // the SWAR candidate mask.
-                    if PAIRS {
-                        let pt = pt.expect("PAIRS implies a table");
-                        while *run == 0 && i + 8 <= len {
-                            let lead = Self::calm_lead(pt, &chunk[i..i + 8]);
-                            if lead < 4 {
-                                i += 2 * lead;
-                                *run = LANE_PROBE_MIN;
-                                break;
-                            }
-                            i += 8;
+                    // trouble spot and opens a short walk run.
+                    while *run == 0 && i + 8 <= len {
+                        let w =
+                            u64::from_le_bytes(chunk[i..i + 8].try_into().expect("8-byte window"));
+                        let m = pf.candidate_mask(w);
+                        if m != 0 {
+                            i += m.trailing_zeros() as usize;
+                            *run = LANE_PROBE_MIN;
+                            break;
                         }
-                    } else {
-                        while *run == 0 && i + 8 <= len {
-                            let w = u64::from_le_bytes(
-                                chunk[i..i + 8].try_into().expect("8-byte window"),
-                            );
-                            let m = pf.candidate_mask(w);
-                            if m != 0 {
-                                i += m.trailing_zeros() as usize;
-                                *run = LANE_PROBE_MIN;
-                                break;
-                            }
-                            i += 8;
-                        }
+                        i += 8;
                     }
                     if *run == 0 {
                         // No window left: walk the sub-window tail.
@@ -921,53 +839,13 @@ impl<'a> CompiledMatcher<'a> {
                 // fold is idempotent and baked into both axes.
                 let stop = (i + *run).min(len);
                 let mut prev = if i > i0 { chunk[i - 1] as u32 } else { entry_prev };
-                if PAIRS {
-                    // The walk itself is byte-for-byte the pairs-off
-                    // walk (its danger branch is ~97 % biased, so it
-                    // predicts well on any traffic — measured, a
-                    // per-pair calm test on the common path loses its
-                    // gains to mispredicts the moment the payload mixes
-                    // entropies). The pair layer acts only on the rare
-                    // danger hit: one calm bit decides whether the hit
-                    // and its successor provably return to the region
-                    // with nothing to report, in which case the walk
-                    // continues two bytes later and the whole
-                    // exit/rebuild/stepper-wake round trip (~17k/MiB on
-                    // the infected repro workload, two thirds calm)
-                    // never happens.
-                    let pt = pt.expect("PAIRS implies a table");
-                    while i < stop {
-                        let c = chunk[i];
-                        if pf.is_danger(prev, c) {
-                            if i + 2 <= len && pt.is_calm(c, chunk[i + 1]) {
-                                prev = chunk[i + 1] as u32;
-                                i += 2;
-                                continue;
-                            }
-                            break 'lane i;
-                        }
-                        // Non-danger byte: the follow row decides — at
-                        // ~97 % bias — whether its successor rides
-                        // along, so the common path consumes two bytes
-                        // per iteration with the same two predictable
-                        // branches the pairs-off walk pays per one.
-                        if i + 2 <= len && pt.is_follow_calm(c, chunk[i + 1]) {
-                            prev = chunk[i + 1] as u32;
-                            i += 2;
-                            continue;
-                        }
-                        prev = c as u32;
-                        i += 1;
+                while i < stop {
+                    let c = chunk[i];
+                    if pf.is_danger(prev, c) {
+                        break 'lane i;
                     }
-                } else {
-                    while i < stop {
-                        let c = chunk[i];
-                        if pf.is_danger(prev, c) {
-                            break 'lane i;
-                        }
-                        prev = c as u32;
-                        i += 1;
-                    }
+                    prev = c as u32;
+                    i += 1;
                 }
                 if i >= len {
                     break 'lane len;
@@ -976,27 +854,14 @@ impl<'a> CompiledMatcher<'a> {
                 // clean window → back to window mode; dirty → keep
                 // walking, twice as far before the next probe.
                 if i + 8 <= len {
-                    if PAIRS {
-                        let pt = pt.expect("PAIRS implies a table");
-                        let lead = Self::calm_lead(pt, &chunk[i..i + 8]);
-                        if lead == 4 {
-                            i += 8;
-                            *run = 0;
-                            continue;
-                        }
-                        i += 2 * lead;
-                    } else {
-                        let w = u64::from_le_bytes(
-                            chunk[i..i + 8].try_into().expect("8-byte window"),
-                        );
-                        let m = pf.candidate_mask(w);
-                        if m == 0 {
-                            i += 8;
-                            *run = 0;
-                            continue;
-                        }
-                        i += m.trailing_zeros() as usize;
+                    let w = u64::from_le_bytes(chunk[i..i + 8].try_into().expect("8-byte window"));
+                    let m = pf.candidate_mask(w);
+                    if m == 0 {
+                        i += 8;
+                        *run = 0;
+                        continue;
                     }
+                    i += m.trailing_zeros() as usize;
                 }
                 *run = (*run * 2).min(LANE_PROBE_MAX);
             }
@@ -1014,37 +879,35 @@ impl<'a> CompiledMatcher<'a> {
     /// and the `sw-throughput-simd` repro rows): on the repro traffic
     /// *no* 8/16/32-byte window is fully skippable — the scalar lane's
     /// whole budget is the per-byte `danger[prev << 8 | c]` walk, so
-    /// vectorizing window classification (the candidate membership mask,
-    /// the pair-calm conjunction) measured at parity or worse. The cover
-    /// probe vectorizes the walk itself: 16/32 danger tests per probe,
-    /// where an unflagged byte is consumed on exactly the evidence the
-    /// scalar walk would have used (the cover is one-sided: unflagged ⇒
-    /// the `(prev, byte)` danger bit is clear), a flagged byte gets the
-    /// exact bitmap probe, and only a *true* danger hit exits the lane —
-    /// a false flag costs one load, never an exit/rebuild round trip.
+    /// vectorizing window classification (the candidate membership
+    /// mask) measured at parity or worse. The cover probe vectorizes
+    /// the walk itself: 16/32 danger tests per probe, where an unflagged
+    /// byte is consumed on exactly the evidence the scalar walk would
+    /// have used (the cover is one-sided: unflagged ⇒ the `(prev, byte)`
+    /// danger bit is clear), a flagged byte gets the exact bitmap probe,
+    /// and only a *true* danger hit exits the lane — a false flag costs
+    /// one load, never an exit/rebuild round trip.
     ///
     /// Composition with the surrounding machinery is unchanged from the
     /// scalar lane: the entry byte is settled with the exact bit against
     /// the *suspended register* (possibly [`HIST_NONE`] after a resume
     /// or a reassembly hole-skip reset — a key the cover does not
-    /// carry), sub-width tails fall back to the scalar walk, the PAIRS
-    /// variant applies the same calm-pair rescue to true hits, and the
+    /// carry), sub-width tails fall back to the scalar walk, and the
     /// exit register rebuild is shared. When the rule set was too dense
     /// for a profitable cover ([`AnchorSet::simd_danger`] is `None`) the
     /// scalar lane runs unchanged.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[inline(always)]
-    fn lane_advance_simd<const PAIRS: bool>(
+    fn lane_advance_simd(
         &self,
         pf: &AnchorSet,
-        pt: Option<&PairTable>,
         regs: &mut ScanRegs,
         chunk: &[u8],
         i0: usize,
         run: &mut usize,
     ) -> usize {
         let Some(cover) = pf.simd_danger() else {
-            return self.lane_advance::<PAIRS, false>(pf, pt, regs, chunk, i0, run);
+            return self.lane_advance::<false>(pf, regs, chunk, i0, run);
         };
         let tok = self.simd.expect("SIMD lane without token");
         let width = tok.scan_width();
@@ -1055,21 +918,10 @@ impl<'a> CompiledMatcher<'a> {
             // Entry byte: its predecessor is the suspended register
             // (fold-idempotent, possibly HIST_NONE) — settle exactly.
             if i < len {
-                let c = chunk[i];
-                if pf.is_danger(entry_prev, c) {
-                    if PAIRS {
-                        let pt = pt.expect("PAIRS implies a table");
-                        if i + 2 <= len && pt.is_calm(c, chunk[i + 1]) {
-                            i += 2;
-                        } else {
-                            break 'lane i;
-                        }
-                    } else {
-                        break 'lane i;
-                    }
-                } else {
-                    i += 1;
+                if pf.is_danger(entry_prev, chunk[i]) {
+                    break 'lane i;
                 }
+                i += 1;
             }
             // Vector walk: every probed byte's predecessor is in the
             // buffer (i ≥ 1 holds from here on).
@@ -1080,54 +932,20 @@ impl<'a> CompiledMatcher<'a> {
                     i = base;
                     break;
                 }
-                // Where the walk resumes after this window's flags are
-                // settled; a rescue whose pair straddles the window end
-                // pushes it one byte further.
-                let mut next = base + width;
                 while flags != 0 {
                     let j = base + flags.trailing_zeros() as usize;
                     flags &= flags - 1;
                     if pf.is_danger(chunk[j - 1] as u32, chunk[j]) {
-                        if PAIRS {
-                            let pt = pt.expect("PAIRS implies a table");
-                            if j + 2 <= len && pt.is_calm(chunk[j], chunk[j + 1]) {
-                                // Calm-pair rescue: j+1 is consumed with
-                                // j, so its flag (if any) is spent.
-                                let spent = j + 1 - base;
-                                if spent < width {
-                                    flags &= !(1u32 << spent);
-                                } else {
-                                    // The pair straddles the window: the
-                                    // scalar walk's `i += 2` lands past
-                                    // `base + width`, so the next probe
-                                    // must too — re-testing the consumed
-                                    // second byte could exit the lane
-                                    // *between* the pair's bytes, where
-                                    // is_calm guarantees nothing and the
-                                    // register rebuild would diverge.
-                                    next = j + 2;
-                                }
-                                continue;
-                            }
-                        }
                         break 'lane j;
                     }
                 }
-                i = next;
+                i = base + width;
             }
             // Scalar tail (and the no-cover walk for short chunks).
             let mut prev = if i > i0 { chunk[i - 1] as u32 } else { entry_prev };
             while i < len {
                 let c = chunk[i];
                 if pf.is_danger(prev, c) {
-                    if PAIRS {
-                        let pt = pt.expect("PAIRS implies a table");
-                        if i + 2 <= len && pt.is_calm(c, chunk[i + 1]) {
-                            prev = chunk[i + 1] as u32;
-                            i += 2;
-                            continue;
-                        }
-                    }
                     break 'lane i;
                 }
                 prev = c as u32;
@@ -1148,8 +966,7 @@ impl<'a> CompiledMatcher<'a> {
     /// longest-suffix invariant says replaying the last two bytes
     /// reproduces any region state exactly; every replayed state is
     /// lane-cleared, so there is nothing to emit). Shared by
-    /// [`CompiledMatcher::lane_advance`] and
-    /// [`CompiledMatcher::window_advance`].
+    /// [`CompiledMatcher::lane_advance`] and its vector variant.
     #[inline(always)]
     fn rebuild_lane_regs(
         &self,
@@ -1209,7 +1026,7 @@ impl<'a> CompiledMatcher<'a> {
         dispatch_stepper!(a, step => {{
             'scan: while i < len {
                 if pf.contains_state(regs.state) {
-                    i = self.lane_advance::<false, SIMD>(pf, None, regs, chunk, i, &mut run);
+                    i = self.lane_advance::<SIMD>(pf, regs, chunk, i, &mut run);
                     if i >= len {
                         break 'scan;
                     }
@@ -1247,221 +1064,8 @@ impl<'a> CompiledMatcher<'a> {
         }});
     }
 
-    /// Number of leading calm-aligned pairs in an 8-byte window
-    /// (0..=4): the stride-2 window probe. The four bit tests are
-    /// independent loads (full ILP), folded into one mask so the
-    /// window decision costs a single branch.
-    #[inline(always)]
-    fn calm_lead(pt: &PairTable, w: &[u8]) -> usize {
-        let m = pt.is_calm(w[0], w[1]) as u32
-            | (pt.is_calm(w[2], w[3]) as u32) << 1
-            | (pt.is_calm(w[4], w[5]) as u32) << 2
-            | (pt.is_calm(w[6], w[7]) as u32) << 3;
-        (!m).trailing_zeros() as usize
-    }
-
-    /// The composed fast path — skip lane *plus* stride-2 pair lane —
-    /// used whenever the automaton carries both an [`AnchorSet`] and a
-    /// non-empty [`PairTable`]. Observable behaviour is byte-identical
-    /// to the plain core; what changes is who consumes which bytes:
-    ///
-    /// - the **skip lane** runs exactly as in the pairs-off path
-    ///   (SWAR windows over skippable runs, the danger walk over
-    ///   candidate text), but with the stride-2 *calm resolution*
-    ///   spliced into the walk: a danger hit loads one pair row and,
-    ///   when both half-steps provably return to the region with
-    ///   nothing to report, consumes the two bytes without leaving the
-    ///   walk — no register rebuild, no stepper wake-up. Measured on
-    ///   the infected repro workload those wake-ups (17 k/MiB, ~70
-    ///   cycles of exit/re-entry churn each) dominate the prefiltered
-    ///   scan's losses;
-    /// - a **pair phase** catches the true exits: while the state is
-    ///   hot, excursions below the shallow region consume two bytes
-    ///   per chained pair load ([`PairTable::fin_hot`] keeps the
-    ///   serial dependency at one load per pair), emitting
-    ///   final-accepts directly and deferring interior accepts
-    ///   (`MID_ACCEPT`, rare) to the byte stepper for exact interior
-    ///   emission;
-    /// - the **byte phase** (the stride-specialized `step_k` stepper)
-    ///   covers cold states, interior accepts and the odd head/tail
-    ///   byte, handing back to the lane or the pair phase as soon as
-    ///   the state allows.
-    ///
-    /// History registers after a consumed pair are the pair's own
-    /// folded bytes, so suspend/resume at odd stream offsets needs no
-    /// alignment (pinned by `tests/streaming.rs`).
-    #[inline(always)]
-    fn scan_chunk_pair_lane<const CALM: bool, const SIMD: bool>(
-        &self,
-        pf: &AnchorSet,
-        pt: &PairTable,
-        regs: &mut ScanRegs,
-        base: usize,
-        chunk: &[u8],
-        mut on_match: impl FnMut(usize, PatternId),
-    ) {
-        let a = self.automaton;
-        let len = chunk.len();
-        let mut i = 0usize;
-        let mut run = 0usize;
-        dispatch_stepper!(a, step => {{
-            'scan: while i < len {
-                if pf.contains_state(regs.state) {
-                    i = self.lane_advance::<CALM, SIMD>(pf, Some(pt), regs, chunk, i, &mut run);
-                    if i >= len {
-                        break 'scan;
-                    }
-                    // Soft exit: a shallow accept (single-byte pattern),
-                    // emitted in-lane exactly as in the pairs-off path.
-                    let c = chunk[i];
-                    if pf.is_soft(regs.prev, c) {
-                        let landed = pf.depth1_state(c);
-                        for &p in a.output(landed) {
-                            on_match(base + i + 1, p);
-                        }
-                        regs.state = landed;
-                        regs.prev2 = regs.prev;
-                        regs.prev = self.fold[c as usize] as u32;
-                        i += 1;
-                        continue 'scan;
-                    }
-                }
-                // Pair phase: excursion stepping, two bytes per chained
-                // load while hot; back to the lane the moment the state
-                // re-enters the region.
-                let mut hot = pt.hot_index(regs.state);
-                while hot != PairTable::NO_HOT && i + 2 <= len {
-                    let w = pt.word(hot, chunk[i], chunk[i + 1]);
-                    if SIMD {
-                        // The walk's serial dependency is this word's
-                        // chained row index; hint the next pair's word
-                        // the moment it arrives so its load overlaps
-                        // the accept checks below. (`fin_hot` may be
-                        // NO_HOT — the hint indexes out of range and
-                        // lapses; the walk exits on that pair anyway.)
-                        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                        if i + 4 <= len {
-                            let tok = self.simd.expect("SIMD lane without token");
-                            pt.prefetch_word(
-                                tok,
-                                PairTable::fin_hot(w),
-                                chunk[i + 2],
-                                chunk[i + 3],
-                            );
-                        }
-                    }
-                    if w & PairTable::MID_ACCEPT != 0 {
-                        break;
-                    }
-                    regs.prev2 = self.fold[chunk[i] as usize] as u32;
-                    regs.prev = self.fold[chunk[i + 1] as usize] as u32;
-                    regs.state = w & PairTable::TARGET_MASK;
-                    i += 2;
-                    if w & OUTPUT_FLAG != 0 {
-                        for &p in a.output(regs.state) {
-                            on_match(base + i, p);
-                        }
-                    }
-                    if pf.contains_state(regs.state) {
-                        continue 'scan;
-                    }
-                    hot = PairTable::fin_hot(w);
-                }
-                // Byte phase: cold states, interior accepts, odd tail.
-                while i < len {
-                    let tagged = regs.advance_with(a, self.fold[chunk[i] as usize], step);
-                    i += 1;
-                    if tagged & OUTPUT_FLAG != 0 {
-                        for &p in a.output(tagged & STATE_MASK) {
-                            on_match(base + i, p);
-                        }
-                    }
-                    if pf.contains_state(regs.state) {
-                        continue 'scan;
-                    }
-                    if i + 2 <= len && pt.contains_state(regs.state) {
-                        continue 'scan;
-                    }
-                }
-            }
-        }});
-    }
-
-    /// The pairs-only resumable core (an automaton carrying a pair
-    /// table but no anchor tables): a stride-2 walk of the automaton
-    /// itself. Every hot state consumes two bytes per chained
-    /// pair load; cold states, interior accepts and the odd tail byte
-    /// take the stride-specialized byte stepper. This is the raw
-    /// software rendering of the multi-byte-per-cycle engines the paper
-    /// scales with — no traffic assumption at all, just a shorter
-    /// serial dependency chain per byte.
-    #[inline(always)]
-    fn scan_chunk_pairs<const SIMD: bool>(
-        &self,
-        pt: &PairTable,
-        regs: &mut ScanRegs,
-        base: usize,
-        chunk: &[u8],
-        mut on_match: impl FnMut(usize, PatternId),
-    ) {
-        let a = self.automaton;
-        let len = chunk.len();
-        let mut i = 0usize;
-        dispatch_stepper!(a, step => {{
-            'scan: while i < len {
-                let mut hot = pt.hot_index(regs.state);
-                while hot != PairTable::NO_HOT && i + 2 <= len {
-                    let w = pt.word(hot, chunk[i], chunk[i + 1]);
-                    if SIMD {
-                        // The walk's serial dependency is this word's
-                        // chained row index; hint the next pair's word
-                        // the moment it arrives so its load overlaps
-                        // the accept checks below. (`fin_hot` may be
-                        // NO_HOT — the hint indexes out of range and
-                        // lapses; the walk exits on that pair anyway.)
-                        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                        if i + 4 <= len {
-                            let tok = self.simd.expect("SIMD lane without token");
-                            pt.prefetch_word(
-                                tok,
-                                PairTable::fin_hot(w),
-                                chunk[i + 2],
-                                chunk[i + 3],
-                            );
-                        }
-                    }
-                    if w & PairTable::MID_ACCEPT != 0 {
-                        break;
-                    }
-                    regs.prev2 = self.fold[chunk[i] as usize] as u32;
-                    regs.prev = self.fold[chunk[i + 1] as usize] as u32;
-                    regs.state = w & PairTable::TARGET_MASK;
-                    i += 2;
-                    if w & OUTPUT_FLAG != 0 {
-                        for &p in a.output(regs.state) {
-                            on_match(base + i, p);
-                        }
-                    }
-                    hot = PairTable::fin_hot(w);
-                }
-                if i >= len {
-                    break 'scan;
-                }
-                let tagged = regs.advance_with(a, self.fold[chunk[i] as usize], step);
-                i += 1;
-                if tagged & OUTPUT_FLAG != 0 {
-                    for &p in a.output(tagged & STATE_MASK) {
-                        on_match(base + i, p);
-                    }
-                }
-            }
-        }});
-    }
-
-    /// One branch on the lanes the automaton carries, then into the
-    /// matching monomorphized resumable core: the skip lane when it
-    /// carries anchor tables, with the pair lane composed in whenever a
-    /// pair table rides along.
+    /// One branch on the lane the automaton carries and the SIMD switch,
+    /// then into the matching monomorphized resumable core.
     #[inline(always)]
     fn scan_chunk_impl(
         &self,
@@ -1470,30 +1074,12 @@ impl<'a> CompiledMatcher<'a> {
         chunk: &[u8],
         on_match: impl FnMut(usize, PatternId),
     ) {
-        let simd = self.simd();
-        match (self.automaton.prefilter(), self.automaton.pairs()) {
-            (Some(pf), Some(pt)) => {
-                match (pt.has_region_rows(), simd) {
-                    (true, true) => {
-                        self.scan_chunk_pair_lane::<true, true>(pf, pt, regs, base, chunk, on_match)
-                    }
-                    (true, false) => self
-                        .scan_chunk_pair_lane::<true, false>(pf, pt, regs, base, chunk, on_match),
-                    (false, true) => self
-                        .scan_chunk_pair_lane::<false, true>(pf, pt, regs, base, chunk, on_match),
-                    (false, false) => self
-                        .scan_chunk_pair_lane::<false, false>(pf, pt, regs, base, chunk, on_match),
-                }
-            }
-            (Some(pf), None) if simd => {
+        match self.automaton.prefilter() {
+            Some(pf) if self.simd() => {
                 self.scan_chunk_prefilter::<true>(pf, regs, base, chunk, on_match)
             }
-            (Some(pf), None) => self.scan_chunk_prefilter::<false>(pf, regs, base, chunk, on_match),
-            (None, Some(pt)) if simd => {
-                self.scan_chunk_pairs::<true>(pt, regs, base, chunk, on_match)
-            }
-            (None, Some(pt)) => self.scan_chunk_pairs::<false>(pt, regs, base, chunk, on_match),
-            (None, None) => self.scan_chunk_plain(regs, base, chunk, on_match),
+            Some(pf) => self.scan_chunk_prefilter::<false>(pf, regs, base, chunk, on_match),
+            None => self.scan_chunk_plain(regs, base, chunk, on_match),
         }
     }
 
@@ -1625,9 +1211,9 @@ impl MultiMatcher for CompiledMatcher<'_> {
                 while i < len {
                     if pf.contains_state(regs.state) {
                         i = if simd {
-                            self.lane_advance::<false, true>(pf, None, &mut regs, haystack, i, &mut run)
+                            self.lane_advance::<true>(pf, &mut regs, haystack, i, &mut run)
                         } else {
-                            self.lane_advance::<false, false>(pf, None, &mut regs, haystack, i, &mut run)
+                            self.lane_advance::<false>(pf, &mut regs, haystack, i, &mut run)
                         };
                         if i >= len {
                             return false;
@@ -1852,33 +1438,41 @@ mod tests {
     }
 
     fn figure1_prefiltered() -> (PatternSet, CompiledAutomaton) {
+        figure1_at_horizon(AnchorSet::DEFAULT_HORIZON)
+    }
+
+    fn figure1_at_horizon(horizon: u8) -> (PatternSet, CompiledAutomaton) {
         let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
         let dfa = Dfa::build(&set);
         let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-        let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
+        let anchors = AnchorSet::build(&dfa, &set, horizon);
         (set, CompiledAutomaton::compile_with_prefilter(&reduced, anchors))
     }
 
     #[test]
     fn prefilter_is_scan_invisible() {
-        let (set, compiled) = figure1_prefiltered();
-        assert!(compiled.prefilter().is_some());
         let (_, reduced) = figure1();
         let bare = CompiledAutomaton::compile(&reduced);
         assert!(bare.prefilter().is_none());
-        let on = CompiledMatcher::new(&compiled, &set);
-        let off = CompiledMatcher::new(&bare, &set);
-        for text in [
-            &b"ushers and she said his hers"[..],
-            b"",
-            b"h",
-            b"zzzzzzzzzzzzzzzzherszzzzzzzz",
-            b"hhhhhhhhhhhhhhhh",
-            b"xxhexxx shishershe",
-        ] {
-            assert_eq!(on.find_all(text), off.find_all(text), "on {text:?}");
-            assert_eq!(on.count(text), off.count(text));
-            assert_eq!(on.is_match(text), off.is_match(text));
+        for horizon in 0..=2u8 {
+            let (set, compiled) = figure1_at_horizon(horizon);
+            assert!(compiled.prefilter().is_some());
+            let on = CompiledMatcher::new(&compiled, &set);
+            let off = CompiledMatcher::new(&bare, &set);
+            for text in [
+                &b"ushers and she said his hers"[..],
+                b"",
+                b"h",
+                b"he",
+                b"zzzzzzzzzzzzzzzzherszzzzzzzz",
+                b"hhhhhhhhhhhhhhhh",
+                b"xxhexxx shishershe",
+                b"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzs",
+            ] {
+                assert_eq!(on.find_all(text), off.find_all(text), "h{horizon} on {text:?}");
+                assert_eq!(on.count(text), off.count(text));
+                assert_eq!(on.is_match(text), off.is_match(text));
+            }
         }
     }
 
@@ -1911,136 +1505,6 @@ mod tests {
             bare.memory_bytes() + anchors.memory_bytes()
         );
         let _ = set;
-    }
-
-    /// The four lane stacks over one figure-1 automaton, each built as
-    /// its own variant: `[both, skip lane only, pairs only, plain]`.
-    fn figure1_variants(horizon: u8, budget: usize) -> (PatternSet, [CompiledAutomaton; 4]) {
-        let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
-        let dfa = Dfa::build(&set);
-        let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-        let anchors = AnchorSet::build(&dfa, &set, horizon);
-        let pairs = PairTable::build_with_region(&dfa, &set, &anchors, budget);
-        let variants = [
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone())
-                .with_pair_table(pairs.clone()),
-            CompiledAutomaton::compile_with_prefilter(&reduced, anchors),
-            CompiledAutomaton::compile(&reduced).with_pair_table(pairs),
-            CompiledAutomaton::compile(&reduced),
-        ];
-        (set, variants)
-    }
-
-    fn figure1_paired(horizon: u8, budget: usize) -> (PatternSet, CompiledAutomaton) {
-        let (set, [both, ..]) = figure1_variants(horizon, budget);
-        (set, both)
-    }
-
-    #[test]
-    fn empty_pair_table_is_dropped() {
-        let (_, compiled) = figure1_paired(1, PairTable::DEFAULT_BUDGET);
-        assert!(compiled.pairs().is_some() && compiled.prefilter().is_some());
-        // An empty pair table never rides along, so it never runs a lane.
-        let (set, reduced) = figure1();
-        let dfa = Dfa::build(&set);
-        let empty = PairTable::build(&dfa, &set, 0);
-        assert!(empty.is_empty());
-        let bare = CompiledAutomaton::compile(&reduced).with_pair_table(empty);
-        assert!(bare.pairs().is_none());
-        assert_eq!(
-            bare.memory_bytes(),
-            CompiledAutomaton::compile(&reduced).memory_bytes()
-        );
-    }
-
-    #[test]
-    fn pair_lane_is_scan_invisible_under_every_mode() {
-        // All four lane stacks agree on matches, counts and is_match,
-        // across horizons and budget shapes (region rows only, hot rows
-        // only via the pairs-only stack, both).
-        for horizon in 0..=2u8 {
-            for budget in [
-                PairTable::REGION_ROW_BYTES,
-                PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-                PairTable::DEFAULT_BUDGET,
-            ] {
-                let (set, [both, lane_only, pairs_only, plain]) = figure1_variants(horizon, budget);
-                let plain = CompiledMatcher::new(&plain, &set);
-                for text in [
-                    &b"ushers and she said his hers"[..],
-                    b"",
-                    b"h",
-                    b"he",
-                    b"zzzzzzzzzzzzzzzzherszzzzzzzz",
-                    b"hhhhhhhhhhhhhhhh",
-                    b"xxhexxx shishershe",
-                    b"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzs",
-                ] {
-                    let want = plain.find_all(text);
-                    for (name, automaton) in [
-                        ("both", &both),
-                        ("lane", &lane_only),
-                        ("pairs", &pairs_only),
-                    ] {
-                        let m = CompiledMatcher::new(automaton, &set);
-                        assert_eq!(
-                            m.find_all(text),
-                            want,
-                            "{name} diverged (h{horizon}, budget {budget}) on {text:?}"
-                        );
-                        assert_eq!(m.count(text), want.len());
-                        assert_eq!(m.is_match(text), !want.is_empty());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pair_lane_chunked_scan_equals_whole_payload() {
-        // Every split point, including odd offsets and cuts inside the
-        // stride-2 windows and mid-pair, across pair stacks.
-        let (set, [both, _, pairs_only, _]) = figure1_variants(1, PairTable::DEFAULT_BUDGET);
-        for automaton in [&both, &pairs_only] {
-            let matcher = CompiledMatcher::new(automaton, &set);
-            let payload = b"zzzzzzzzzzzzzzhers zzzzzzzzzzzz she";
-            let whole = matcher.find_all(payload);
-            assert_eq!(whole.len(), 4);
-            for cut in 0..=payload.len() {
-                let mut state = ScanState::fresh();
-                let mut got = Vec::new();
-                matcher.scan_chunk_into(&mut state, &payload[..cut], &mut got);
-                matcher.scan_chunk_into(&mut state, &payload[cut..], &mut got);
-                assert_eq!(got, whole, "split at {cut} diverged");
-                assert_eq!(state.offset, payload.len() as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn pair_table_memory_accounted() {
-        let (set, compiled) = figure1_paired(1, PairTable::DEFAULT_BUDGET);
-        let (_, reduced) = figure1();
-        let dfa = Dfa::build(&set);
-        let bare_anchors = AnchorSet::build(&dfa, &set, 1);
-        let bare = CompiledAutomaton::compile_with_prefilter(&reduced, bare_anchors);
-        let pairs = compiled.pairs().expect("table present");
-        assert_eq!(
-            compiled.memory_bytes(),
-            bare.memory_bytes() + pairs.memory_bytes()
-        );
-    }
-
-    #[test]
-    fn mismatched_pair_table_is_rejected() {
-        let (_, reduced) = figure1();
-        let other = PatternSet::new(["completely", "different"]).unwrap();
-        let other_dfa = Dfa::build(&other);
-        let table = PairTable::build(&other_dfa, &other, PairTable::ROW_BYTES);
-        let err = std::panic::catch_unwind(|| {
-            CompiledAutomaton::compile(&reduced).with_pair_table(table)
-        });
-        assert!(err.is_err(), "foreign pair table must be rejected");
     }
 
     #[test]

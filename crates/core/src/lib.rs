@@ -47,9 +47,8 @@
 //! compare tables, and CSR match outputs — and [`CompiledMatcher`] scans
 //! over it with a reusable match buffer ([`CompiledMatcher::scan_into`]),
 //! a streaming visitor, and early-exit `is_match`/`count` paths. The
-//! fast lanes a matcher runs (anchor skip lane, stride-2 pair lane, or
-//! both) are the ones its automaton was built with; nothing is toggled
-//! per scan.
+//! fast lane a matcher runs (the anchor skip lane, when present) is the
+//! one its automaton was built with; nothing is toggled per scan.
 //!
 //! ## Scaling across cores
 //!

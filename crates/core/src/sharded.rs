@@ -26,9 +26,9 @@
 //!   results never cross threads.
 //!
 //! Every shard automaton, and the two-stage prefix cover, is built by
-//! one lane-stack builder: DTP reduction, the shard's own [`AnchorSet`]
-//! and its own [`PairTable`] under the configured budget. The lanes a
-//! shard scans with are the ones its automaton carries.
+//! one lane-stack builder: DTP reduction plus the shard's own
+//! [`AnchorSet`]. The lane a shard scans with is the one its automaton
+//! carries.
 //!
 //! Equivalence with the monolithic [`CompiledMatcher`] — and through it
 //! with the reference [`DtpMatcher`](crate::DtpMatcher) and the full DFA
@@ -64,8 +64,8 @@ use crate::compiled::{CompiledAutomaton, CompiledMatcher};
 use crate::lookup_table::DtpConfig;
 use crate::reduce::ReducedAutomaton;
 use dpi_automaton::{
-    AnchorSet, Dfa, Match, MultiMatcher, PairTable, PatternId, PatternSet, ScanState,
-    ShardPlanError, ShardSpec, SplitStrategy,
+    AnchorSet, Dfa, Match, MultiMatcher, PatternId, PatternSet, ScanState, ShardPlanError,
+    ShardSpec, SplitStrategy,
 };
 
 /// Build-time configuration of a [`ShardedMatcher`].
@@ -75,8 +75,7 @@ pub struct ShardedConfig {
     /// entry points. `1` selects the sequential same-API mode.
     pub cores: usize,
     /// Preferred shard count the planner starts from (normally equal
-    /// to `cores`; [`ShardedConfig::autotune_shards`] sets it from a
-    /// measured probe scan).
+    /// to `cores`).
     pub shards_hint: usize,
     /// Per-shard compiled-arena budget in bytes (the cache level each
     /// shard should fit — typically L2).
@@ -92,13 +91,6 @@ pub struct ShardedConfig {
     /// than the master's and its lane skips strictly more of the same
     /// traffic.
     pub anchor_horizon: u8,
-    /// Per-shard byte budget for the stride-2 pair-transition layer
-    /// (see [`PairTable::build_with_region`]). Each shard derives its
-    /// **own** [`PairTable`] — a shard's automaton is a fraction of the
-    /// monolith's, so the same budget covers a larger share of its hot
-    /// states. A budget below [`PairTable::REGION_ROW_BYTES`] builds no
-    /// pair rows, so the shards carry no pair lane.
-    pub pair_budget_bytes: usize,
     /// Run every shard's scan loops on the SIMD fast-lane kernels
     /// (default on; see [`CompiledMatcher::with_simd`]). Inert — the
     /// safe scalar lanes run — unless the crate was built with the
@@ -111,9 +103,9 @@ impl ShardedConfig {
     /// A configuration targeting `cores` cores, inheriting the planner's
     /// default budget and shard cap from [`ShardSpec::for_cores`] (so the
     /// two stay in lockstep), with the paper's DTP configuration and
-    /// the default anchor horizon and pair budget. For planner knobs not
-    /// surfaced here (skew limit, cost model), call
-    /// [`PatternSet::plan_shards`] directly.
+    /// the default anchor horizon. For planner knobs not surfaced here
+    /// (skew limit, cost model), call [`PatternSet::plan_shards`]
+    /// directly.
     pub fn with_cores(cores: usize) -> ShardedConfig {
         let spec = ShardSpec::for_cores(cores);
         ShardedConfig {
@@ -123,7 +115,6 @@ impl ShardedConfig {
             max_shards: spec.max_shards,
             dtp: DtpConfig::PAPER,
             anchor_horizon: AnchorSet::DEFAULT_HORIZON,
-            pair_budget_bytes: Self::DEFAULT_PAIR_BUDGET,
             simd: true,
         }
     }
@@ -143,148 +134,18 @@ impl ShardedConfig {
             exact: self,
         }
     }
-
-    /// Default per-shard pair-layer budget: the region pair rows plus
-    /// 8 hot rows (~2 MiB). Shard automata are cache-budget-sized
-    /// fractions of the master, so eight hot states cover a larger
-    /// occupancy share per shard than the monolith's 16-row default
-    /// does for the whole set; only the touched cache lines of a row
-    /// become resident.
-    pub const DEFAULT_PAIR_BUDGET: usize =
-        PairTable::REGION_ROW_BYTES + 8 * PairTable::ROW_BYTES;
-
-    /// Growth factor a larger shard count must beat in the autotune
-    /// probe before it is preferred — shard proliferation multiplies
-    /// total work (every shard scans every byte), so a bigger count
-    /// has to pay measurably, not within noise.
-    const AUTOTUNE_MARGIN: f64 = 0.90;
-
-    /// Picks the shard count from a **measured probe scan** instead of
-    /// the cost model's guess: for each candidate count (multiples of
-    /// `cores`, doubling up to the planner cap), the largest planned
-    /// shard is compiled and timed over a synthetic probe payload, and
-    /// the candidate minimizing the projected slowest-core time
-    /// (`shards-per-core × measured per-shard time`) wins. Larger
-    /// counts are only taken when they beat the incumbent by a real
-    /// margin, so the chooser settles on `cores` shards whenever the
-    /// ruleset already fits per-core caches — the measured answer to
-    /// the "how many shards?" question the cost model can only
-    /// estimate.
-    ///
-    /// Returns a configuration whose [`ShardedConfig::shards_hint`]
-    /// pins the chosen count as the planner's starting point (the
-    /// per-shard arena budget can still grow it — the cost model stays
-    /// as the cache-residency safety net).
-    ///
-    /// # Errors
-    ///
-    /// [`ShardPlanError::PatternExceedsBudget`] when planning any
-    /// candidate fails (see [`PatternSet::plan_shards`]).
-    pub fn autotune_shards(
-        set: &PatternSet,
-        cores: usize,
-    ) -> Result<ShardedConfig, ShardPlanError> {
-        // Probe payload: low-entropy text mixed with pseudo-random
-        // bytes — enough automaton exercise to expose cache effects
-        // without depending on the traffic crates.
-        let mut probe = Vec::with_capacity(128 * 1024);
-        let mut x: u64 = 0x5EED_CAFE;
-        while probe.len() < 128 * 1024 {
-            probe.extend_from_slice(b"GET /autotune HTTP/1.1\r\nHost: probe\r\n");
-            for _ in 0..24 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                probe.push((x >> 33) as u8);
-            }
-        }
-        let base = ShardedConfig::with_cores(cores);
-        Self::autotune_shards_with(set, cores, |sub| {
-            // The probe shard carries the exact lane stack the returned
-            // config deploys — the chooser's premise is measured cache
-            // residency, and the pair rows are part of the footprint.
-            let compiled = build_lane_stack(sub, &base, None);
-            let matcher = CompiledMatcher::new(&compiled, sub);
-            let mut best = f64::INFINITY;
-            let mut sink = 0usize;
-            for _ in 0..3 {
-                let start = std::time::Instant::now();
-                matcher.for_each_match(&probe, |_| sink += 1);
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            std::hint::black_box(sink);
-            best / probe.len() as f64
-        })
-    }
-
-    /// The chooser behind [`ShardedConfig::autotune_shards`], with the
-    /// probe measurement injected — `measure` returns a shard's scan
-    /// cost in seconds per byte. Exposed so the selection logic can be
-    /// unit-tested against a synthetic cost model without timing real
-    /// scans.
-    pub fn autotune_shards_with(
-        set: &PatternSet,
-        cores: usize,
-        mut measure: impl FnMut(&PatternSet) -> f64,
-    ) -> Result<ShardedConfig, ShardPlanError> {
-        let cores = cores.max(1);
-        let mut config = ShardedConfig::with_cores(cores);
-        let cap = ShardSpec::for_cores(cores).max_shards.min(set.len().max(1));
-        let mut best: Option<(usize, f64)> = None;
-        let mut n = cores.min(cap);
-        loop {
-            // Plan exactly `n` shards and time the largest one — the
-            // slowest-core bound is what a deployment actually waits
-            // on.
-            let mut spec = ShardSpec::for_cores(cores);
-            spec.shards_hint = n;
-            spec.budget_bytes = usize::MAX;
-            let plan = set.plan_shards(&spec)?;
-            let largest = plan
-                .estimated_bytes
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, b)| *b)
-                .map(|(i, _)| i)
-                .expect("plans are non-empty");
-            let secs_per_byte = measure(&plan.parts[largest].0);
-            let per_core = plan.len().div_ceil(cores) as f64 * secs_per_byte;
-            let better = match best {
-                None => true,
-                Some((_, incumbent)) => per_core < incumbent * ShardedConfig::AUTOTUNE_MARGIN,
-            };
-            if better {
-                best = Some((plan.len(), per_core));
-            }
-            if n >= cap {
-                break;
-            }
-            n = (n * 2).min(cap);
-        }
-        config.shards_hint = best.expect("at least one candidate").0;
-        Ok(config)
-    }
 }
 
-/// Builds one automaton with the full lane stack `config` describes —
-/// DTP reduction, the anchor-byte skip lane and the stride-2 pair layer
-/// (hot rows ranked by occupancy over `profile` when given, by static
-/// in-degree otherwise). The one place the lane stack is decided: every
-/// shard, the autotune probe and the two-stage prefix cover are built
-/// here, so the lanes they scan with are a property of the ruleset and
-/// the config alone.
-pub(crate) fn build_lane_stack(
-    set: &PatternSet,
-    config: &ShardedConfig,
-    profile: Option<&[u8]>,
-) -> CompiledAutomaton {
+/// Builds one automaton with the lane stack `config` describes — DTP
+/// reduction plus the anchor-byte skip lane. The one place the lane
+/// stack is decided: every shard and the two-stage prefix cover are
+/// built here, so the lane they scan with is a property of the ruleset
+/// and the config alone.
+pub(crate) fn build_lane_stack(set: &PatternSet, config: &ShardedConfig) -> CompiledAutomaton {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, config.dtp);
     let anchors = AnchorSet::build(&dfa, set, config.anchor_horizon);
-    let budget = config.pair_budget_bytes;
-    let pairs = match profile {
-        Some(sample) => PairTable::build_profiled(&dfa, set, &anchors, budget, sample),
-        None => PairTable::build_with_region(&dfa, set, &anchors, budget),
-    };
-    CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs)
+    CompiledAutomaton::compile_with_prefilter(&reduced, anchors)
 }
 
 impl Default for ShardedConfig {
@@ -466,31 +327,6 @@ impl ShardedMatcher {
         set: &PatternSet,
         config: &ShardedConfig,
     ) -> Result<ShardedMatcher, ShardPlanError> {
-        Self::build_inner(set, config, None)
-    }
-
-    /// [`ShardedMatcher::build`] with profile-guided pair layers: each
-    /// shard's hot pair rows are ranked by the occupancy of a scan
-    /// over `sample` (see [`PairTable::build_profiled`]) instead of
-    /// the static in-degree proxy. `sample` should be representative
-    /// traffic; it is scanned once per shard at build time.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedMatcher::build`].
-    pub fn build_with_profile(
-        set: &PatternSet,
-        config: &ShardedConfig,
-        sample: &[u8],
-    ) -> Result<ShardedMatcher, ShardPlanError> {
-        Self::build_inner(set, config, Some(sample))
-    }
-
-    fn build_inner(
-        set: &PatternSet,
-        config: &ShardedConfig,
-        profile: Option<&[u8]>,
-    ) -> Result<ShardedMatcher, ShardPlanError> {
         let mut spec = ShardSpec::for_cores(config.cores);
         spec.shards_hint = config.shards_hint.max(1);
         spec.budget_bytes = config.budget_bytes;
@@ -501,7 +337,7 @@ impl ShardedMatcher {
             .parts
             .into_iter()
             .map(|(sub, ids)| Shard {
-                automaton: build_lane_stack(&sub, config, profile),
+                automaton: build_lane_stack(&sub, config),
                 set: sub,
                 ids,
             })
@@ -536,17 +372,6 @@ impl ShardedMatcher {
     /// scan loops: requested **and** available on this build and CPU.
     pub fn simd(&self) -> bool {
         self.simd && dpi_automaton::simd_available()
-    }
-
-    /// The pair-transition layer of shard `shard` (present when its
-    /// budget bought at least one row). Exposed so tests and benches can
-    /// inspect per-shard hot-set coverage and memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shard_count()`.
-    pub fn shard_pairs(&self, shard: usize) -> Option<&PairTable> {
-        self.shards[shard].automaton.pairs()
     }
 
     /// The anchor analysis of shard `shard` (every shard carries one).
@@ -1366,113 +1191,6 @@ mod tests {
         config.budget_bytes = 1024; // below any single-pattern floor
         let err = ShardedMatcher::build(&set, &config).unwrap_err();
         assert!(err.to_string().contains("per-shard budget"), "{err}");
-    }
-
-    #[test]
-    fn pairs_on_by_default_and_equivalent_when_off() {
-        // Every shard carries region pair rows at the default budget;
-        // the bare-compiled reference (no lanes at all) must agree.
-        let set = PatternSet::new(["he", "she", "his", "hers"]).unwrap();
-        let on = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-        for s in 0..on.shard_count() {
-            let pt = on.shard_pairs(s).expect("shard pair table");
-            assert!(pt.has_region_rows(), "shard {s} missing region rows");
-        }
-        let reduced = ReducedAutomaton::reduce(&Dfa::build(&set), DtpConfig::PAPER);
-        let bare = CompiledAutomaton::compile(&reduced);
-        assert!(bare.pairs().is_none());
-        let off = CompiledMatcher::new(&bare, &set);
-        let text = b"zzzzzzzzzzzzushers and she said his hers";
-        assert_eq!(on.find_all(text), off.find_all(text));
-        assert_eq!(on.is_match(text), off.is_match(text));
-        assert_eq!(on.is_match(b"zzzz"), off.is_match(b"zzzz"));
-    }
-
-    #[test]
-    fn profiled_build_is_equivalent() {
-        let set = PatternSet::new(["he", "she", "his", "hers", "hex"]).unwrap();
-        let sample = b"xxhe hers zzz hex shishershe".repeat(64);
-        let profiled =
-            ShardedMatcher::build_with_profile(&set, &ShardedConfig::with_cores(2), &sample)
-                .unwrap();
-        let plain = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
-        let text = b"ushers and she said hex his hers";
-        assert_eq!(profiled.find_all(text), plain.find_all(text));
-        assert_eq!(profiled.find_all(text), reference(&set, text));
-    }
-
-    #[test]
-    fn pair_budget_below_region_rows_disables_layer() {
-        let set = PatternSet::new(["he", "she"]).unwrap();
-        let mut config = ShardedConfig::with_cores(1);
-        config.pair_budget_bytes = 0;
-        let m = ShardedMatcher::build(&set, &config).unwrap();
-        // No shard carries a pair table; the skip lane still rides.
-        assert!(m.shard_pairs(0).is_none());
-        assert!(m.shard_anchors(0).is_some());
-        assert_eq!(m.find_all(b"ushers"), reference(&set, b"ushers"));
-    }
-
-    #[test]
-    fn autotune_chooser_follows_the_measured_cost_model() {
-        use dpi_automaton::ShardCostModel;
-        // Synthetic measurement derived from the cost model: scanning
-        // is flat-rate while the shard fits a 24 KiB "cache", then
-        // degrades superlinearly (miss rate × miss latency both grow)
-        // — the cliff shape the real probe measures. A merely linear
-        // penalty would make shard count a wash by construction
-        // (halving per-shard cost while doubling shards per core), and
-        // the chooser must *not* grow on a wash.
-        let model = ShardCostModel::default();
-        let synthetic = |sub: &PatternSet| -> f64 {
-            let bytes = model.estimate(sub) as f64;
-            let penalty = (bytes / 24_576.0).max(1.0);
-            1e-9 * penalty * penalty
-        };
-
-        // Small set: every shard already fits — the chooser must stay
-        // at `cores` shards (more shards would only multiply work).
-        let small: Vec<String> = (0..24)
-            .map(|i| format!("{}p{i:02}", (b'a' + (i % 6) as u8) as char))
-            .collect();
-        let small = PatternSet::new(&small).unwrap();
-        let config = ShardedConfig::autotune_shards_with(&small, 4, synthetic).unwrap();
-        assert_eq!(config.shards_hint, 4);
-
-        // Large set: one shard blows the synthetic cache, and halving
-        // it pays more than the doubled shard count costs — the
-        // chooser must grow past the core count.
-        let large: Vec<String> = (0..4000)
-            .map(|i| format!("{}needle{i:05}x", (b'a' + (i % 23) as u8) as char))
-            .collect();
-        let large = PatternSet::new(&large).unwrap();
-        let config = ShardedConfig::autotune_shards_with(&large, 4, synthetic).unwrap();
-        assert!(
-            config.shards_hint > 4,
-            "expected growth past the core count, got {}",
-            config.shards_hint
-        );
-        // And the resulting hint is honoured by the planner.
-        let m = ShardedMatcher::build(&large, &config).unwrap();
-        assert!(m.shard_count() >= config.shards_hint);
-    }
-
-    #[test]
-    fn autotune_measured_probe_runs_end_to_end() {
-        // The real (timed) probe on a small set: just assert it picks a
-        // sane count and the config builds.
-        let set = diverse_probe_set();
-        let config = ShardedConfig::autotune_shards(&set, 2).unwrap();
-        assert!(config.shards_hint >= 2 || set.len() < 2);
-        let m = ShardedMatcher::build(&set, &config).unwrap();
-        assert_eq!(m.find_all(b"alphabet soup"), reference(&set, b"alphabet soup"));
-    }
-
-    fn diverse_probe_set() -> PatternSet {
-        let strings: Vec<String> = (0..32)
-            .map(|i| format!("{}tune{i:03}", (b'a' + (i % 8) as u8) as char))
-            .collect();
-        PatternSet::new(&strings).unwrap()
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! with longer continuations (`forward > 0`) confirm or window. The
 //! replay verifier therefore holds just the big-family patterns, and
 //! the scan is one fused pass — one compiled-automaton walk with the
-//! same anchor skip lane and pair rows as the monolithic engine,
+//! same anchor skip lane as the monolithic engine,
 //! recording flags that are then processed in stream order against a
 //! single-byte direct-emit sweep of the gaps between them (vectorized
 //! 32 bytes per probe under the `simd` feature).
@@ -216,7 +216,7 @@ impl SinglesSimd {
 /// The deployed stage-1 classifier.
 enum PreStage {
     /// Budget-truncated prefix automaton, compiled through the same
-    /// reduce/anchor/pair pipeline as the exact engine — stage 1 keeps
+    /// reduce/anchor pipeline as the exact engine — stage 1 keeps
     /// the skip lane and all its clean-traffic speed.
     ///
     /// Complete **single-byte** cover patterns that never open windows
@@ -943,8 +943,7 @@ impl TwoStageMatcher {
     }
 
     /// [`TwoStageMatcher::build`] with every profile-guided layer fed by
-    /// `sample`: cover refinement and cover choice plus the stage-1 and
-    /// stage-2 pair rows ([`ShardedMatcher::build_with_profile`]).
+    /// `sample`: the prefix cover's depth and the gram cover's atoms.
     pub fn build_with_profile(
         set: &PatternSet,
         config: &TwoStageConfig,
@@ -1161,8 +1160,8 @@ impl TwoStageMatcher {
                 }
             }
             // Compile the kept cover through the exact engine's one
-            // lane-stack builder — the same reduce, anchors and pair
-            // rows every exact shard gets from this config.
+            // lane-stack builder — the same reduce and anchors every
+            // exact shard gets from this config.
             let automaton = if kept_bytes.is_empty() {
                 None
             } else {
@@ -1172,7 +1171,7 @@ impl TwoStageMatcher {
                     PatternSet::new(&kept_bytes)
                 }
                 .expect("subset of a valid cover is valid");
-                let compiled = build_lane_stack(&kept, &config.exact, sample);
+                let compiled = build_lane_stack(&kept, &config.exact);
                 Some(Box::new((compiled, kept)))
             };
             // Lookback only has to reach the start of *windowed*
@@ -1251,10 +1250,7 @@ impl TwoStageMatcher {
             )
         };
 
-        let exact = match sample {
-            Some(s) => ShardedMatcher::build_with_profile(&verifier, &config.exact, s)?,
-            None => ShardedMatcher::build(&verifier, &config.exact)?,
-        };
+        let exact = ShardedMatcher::build(&verifier, &config.exact)?;
         // Patch the per-family ownership masks into the windowed kept
         // meta now that the verifier's shard plan exists: a window
         // replays only through the shards owning its flagged family.
@@ -1814,35 +1810,25 @@ mod tests {
     #[test]
     fn prefix_cover_builds_the_same_lane_stack_as_an_exact_shard() {
         // One builder decides the lanes: the prefix-cover automaton
-        // carries anchors plus region pair rows exactly when an exact
-        // shard over the same patterns and config does — at the default
-        // pair budget, and at one too small to buy any pair rows.
+        // carries exactly the anchors, and occupies exactly the bytes,
+        // of an exact shard over the same patterns and config.
         let set =
             PatternSet::new(["attack-signature", "exploit-marker", "he", "hers", "shell"]).unwrap();
-        for budget in [ShardedConfig::DEFAULT_PAIR_BUDGET, 0] {
-            let mut config = TwoStageConfig::with_cores(1);
-            config.exact.pair_budget_bytes = budget;
-            let two = TwoStageMatcher::build(&set, &config).unwrap();
-            let PreStage::Prefix {
-                automaton: Some(cover),
-                ..
-            } = &two.pre
-            else {
-                panic!("prefix path with a compiled cover expected");
-            };
-            let (compiled, kept) = &**cover;
-            let exact = ShardedMatcher::build(kept, &config.exact).unwrap();
-            assert_eq!(exact.shard_count(), 1);
-            assert!(compiled.prefilter().is_some());
-            assert_eq!(compiled.prefilter(), exact.shard_anchors(0));
-            assert_eq!(compiled.pairs(), exact.shard_pairs(0));
-            assert_eq!(
-                compiled.pairs().is_some_and(|p| p.has_region_rows()),
-                budget > 0,
-                "budget {budget}"
-            );
-            assert_eq!(compiled.memory_bytes(), exact.shard_memory_bytes(0));
-        }
+        let config = TwoStageConfig::with_cores(1);
+        let two = TwoStageMatcher::build(&set, &config).unwrap();
+        let PreStage::Prefix {
+            automaton: Some(cover),
+            ..
+        } = &two.pre
+        else {
+            panic!("prefix path with a compiled cover expected");
+        };
+        let (compiled, kept) = &**cover;
+        let exact = ShardedMatcher::build(kept, &config.exact).unwrap();
+        assert_eq!(exact.shard_count(), 1);
+        assert!(compiled.prefilter().is_some());
+        assert_eq!(compiled.prefilter(), exact.shard_anchors(0));
+        assert_eq!(compiled.memory_bytes(), exact.shard_memory_bytes(0));
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub use dpi_sim as sim;
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use dpi_automaton::{
-        AnchorSet, Dfa, DfaMatcher, Match, MultiMatcher, Nfa, NfaMatcher, PairTable, PatternId,
-        PatternSet, ScanState, StateId,
+        AnchorSet, Dfa, DfaMatcher, Match, MultiMatcher, Nfa, NfaMatcher, PatternId, PatternSet,
+        ScanState, StateId,
     };
     pub use dpi_automaton::{ShardPlan, ShardPlanError, ShardSpec, SplitStrategy};
     pub use dpi_core::{

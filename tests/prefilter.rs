@@ -3,8 +3,9 @@
 //!
 //! For every workload shape we can produce — clean, infected and
 //! adversarial payloads, whole or packetized under every [`ChopProfile`]
-//! (including cuts landing inside a SWAR skip window), case-sensitive
-//! and nocase, at every supported anchor horizon — scanning an automaton
+//! (including cuts landing inside a SWAR skip window and between a
+//! lane exit and its register rebuild), case-sensitive and nocase, at
+//! every supported anchor horizon — scanning an automaton
 //! compiled with the prefilter must report byte-for-byte the matches of
 //! one compiled without it, which in turn equals the reference matchers.
 //! Covers [`CompiledMatcher`] and [`ShardedMatcher`], plus the
@@ -112,6 +113,58 @@ fn chop_profile_streaming_equivalence() {
     // Ground truth: every injected occurrence is in the whole-scan set.
     for &(id, end) in &packet.injected {
         assert!(whole.iter().any(|m| m.pattern == id && m.end == end));
+    }
+}
+
+/// A chunk boundary between a danger hit and the lane-register
+/// rebuild: the anchor lane exits where `is_danger(prev, byte)` fires,
+/// then rebuilds its history registers from the bytes just behind the
+/// exit before the stepper takes over. Splitting the payload exactly
+/// at the danger byte and exactly one past it puts the suspend/resume
+/// seam inside that exit→rebuild window, while rotating the scanner
+/// per chunk (skip lane, plain stepper, reference matcher) so each has
+/// to resume from a seam another produced.
+#[test]
+fn danger_exit_rebuild_boundary_alignment() {
+    let set = extract_preserving(&master_ruleset(), 120, 0x77);
+    let (dfa, reduced, compiled) = build(&set, AnchorSet::DEFAULT_HORIZON);
+    let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
+    let bare = CompiledAutomaton::compile(&reduced);
+    let mut gen = TrafficGenerator::new(0xD4E);
+    let payload = gen.infected_packet(1536, &set, 6).payload;
+    let lane = CompiledMatcher::new(&compiled, &set);
+    let plain = CompiledMatcher::new(&bare, &set);
+    let dtp = DtpMatcher::new(&reduced, &set);
+    let whole = NaiveMatcher::new(&set).find_all(&payload);
+    assert_eq!(lane.find_all(&payload), whole);
+
+    // Every position where the streamed history raises danger.
+    let exits: Vec<usize> = (1..payload.len() - 2)
+        .filter(|&j| anchors.is_danger(payload[j - 1] as u32, payload[j]))
+        .collect();
+    assert!(!exits.is_empty(), "payload never leaves the lane");
+    for &j in &exits {
+        // Cut at the danger byte and one past it: chunk 2 is the
+        // single byte whose consumption is the lane exit, so the
+        // rebuild's look-behind spans both seams.
+        for cuts in [[j, j + 1], [j, j + 2], [j + 1, j + 2]] {
+            let segments = chop(&payload, &cuts);
+            for first in 0..3 {
+                let mut state = ScanState::fresh();
+                let mut got = Vec::new();
+                for (i, seg) in segments.iter().enumerate() {
+                    match (first + i) % 3 {
+                        0 => lane.scan_chunk_into(&mut state, seg, &mut got),
+                        1 => plain.scan_chunk_into(&mut state, seg, &mut got),
+                        _ => dtp.scan_chunk_into(&mut state, seg, &mut got),
+                    }
+                }
+                assert_eq!(
+                    got, whole,
+                    "exit at {j}, cuts {cuts:?}, rotation {first} diverged"
+                );
+            }
+        }
     }
 }
 

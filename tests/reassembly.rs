@@ -7,8 +7,8 @@
 //! 1. **Lossless equivalence** — any *in-order-deliverable* schedule
 //!    (reordered, retransmitted, consistently- or conflictingly-
 //!    overlapped under first-wins) produces byte-identical matches to
-//!    the whole-payload scan, across `CompiledMatcher` (prefilter/pairs
-//!    on and off) and `ShardedMatcher`.
+//!    the whole-payload scan, across `CompiledMatcher` (prefilter on
+//!    and off) and `ShardedMatcher`.
 //! 2. **Boundary-local hole loss** — dropping segments loses exactly
 //!    the matches overlapping the dropped ranges: the result equals the
 //!    union of whole-payload matches falling entirely inside a
@@ -22,23 +22,13 @@ use dpi_accel::prelude::*;
 use dpi_accel::rulesets::{extract_preserving, master_ruleset, ChopProfile, Segment, SegmentProfile};
 use proptest::prelude::*;
 
-/// Compiles `set` with the full default fast-path stack (anchors +
-/// pair layer) and, from the same pair table, the pairs-only stack —
-/// `[lane+pairs, pairs-only]`, mirroring `tests/streaming.rs`.
-fn compiled_with_pairs(set: &PatternSet) -> [CompiledAutomaton; 2] {
+/// Compiles `set` with the shipped fast-path stack (the anchor skip
+/// lane), mirroring `tests/streaming.rs`.
+fn compiled_with_lane(set: &PatternSet) -> CompiledAutomaton {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, AnchorSet::DEFAULT_HORIZON);
-    let pairs = PairTable::build_with_region(
-        &dfa,
-        set,
-        &anchors,
-        PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-    );
-    [
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs.clone()),
-        CompiledAutomaton::compile(&reduced).with_pair_table(pairs),
-    ]
+    CompiledAutomaton::compile_with_prefilter(&reduced, anchors)
 }
 
 /// Replays `schedule` through a `StreamFlow` wrapping a plain
@@ -107,7 +97,7 @@ fn lossless_schedules_match_whole_payload_scan() {
     let dfa = Dfa::build(&set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let plain = CompiledAutomaton::compile(&reduced);
-    let [paired, pairs_only] = compiled_with_pairs(&set);
+    let lane = compiled_with_lane(&set);
     let whole = CompiledMatcher::new(&plain, &set);
     let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(2)).unwrap();
 
@@ -123,8 +113,7 @@ fn lossless_schedules_match_whole_payload_scan() {
 
         for (name, m) in [
             ("compiled", CompiledMatcher::new(&plain, &set)),
-            ("lane+pairs", CompiledMatcher::new(&paired, &set)),
-            ("pairs-only", CompiledMatcher::new(&pairs_only, &set)),
+            ("lane", CompiledMatcher::new(&lane, &set)),
         ] {
             let (got, stats) = reassemble_compiled(&m, &schedule, budget);
             assert_eq!(got, want, "{name} diverged under {profile:?}");

@@ -212,6 +212,23 @@ fn masked_off_single_lane_leaves_state_and_output_untouched() {
     assert_eq!(out, [sentinel, at_3(0), at_3(1)]);
 }
 
+/// The resident arena of the 6,275-rule master under the service's
+/// arena config (one core, 8 MiB exact budget — a one-shard plan) is
+/// the compiled automaton plus its anchor tables and nothing else: no
+/// per-state lane table scales it past 3 MiB.
+#[test]
+fn master_arena_stays_under_three_mib() {
+    let mut config = ShardedConfig::with_cores(1);
+    config.budget_bytes = 8 << 20;
+    let sharded = ShardedMatcher::build(&master_ruleset(), &config).unwrap();
+    let bytes = sharded.memory_bytes();
+    assert!(
+        bytes < 3 << 20,
+        "master arena {} KiB, expected < 3 MiB",
+        bytes / 1024
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

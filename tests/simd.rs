@@ -1,20 +1,22 @@
 //! Cross-lane SIMD conformance suite: the `simd` feature must be
 //! *scan-invisible*.
 //!
-//! The vector lanes (nibble-box danger walk, shuffle byte-set probes,
-//! hot-row prefetch) are pure accelerations of the scalar lanes — they
-//! may change how fast bytes are consumed, never which matches come
-//! out. This suite pins that differentially:
+//! The vector lanes (nibble-box danger walk, shuffle byte-set probes)
+//! are pure accelerations of the scalar lanes — they may change how
+//! fast bytes are consumed, never which matches come out. This suite
+//! pins that differentially:
 //!
 //! 1. **Lane matrix** — every `CompiledMatcher` configuration
 //!    (simd on/off × every lane stack the automaton can be built with:
-//!    prefilter on/off × pairs on/off) reports exactly
-//!    the reference `DtpMatcher` matches, on clean, infected and
-//!    adversarial payloads, whole and under every `ChopProfile`.
-//! 2. **Window-interior cuts** — chunk boundaries placed strictly
-//!    inside the 16/32-byte probe windows (±1 around every vector
-//!    width multiple) and 3-way splits inside a maximal skippable run,
-//!    so suspend/resume lands mid-skip at odd offsets.
+//!    prefilter on/off) reports exactly the reference `DtpMatcher`
+//!    matches, on clean, infected and adversarial payloads, whole and
+//!    under every `ChopProfile`.
+//! 2. **Window-interior cuts and exits** — chunk boundaries placed
+//!    strictly inside the 16/32-byte probe windows (±1 around every
+//!    vector width multiple), 3-way splits inside a maximal skippable
+//!    run, and a planted lane exit swept across every in-window
+//!    offset, so suspend/resume lands mid-skip at odd offsets and the
+//!    vector walk exits at every probe position.
 //! 3. **Horizon sweep** — anchor horizons 0, 1 and 2, and `nocase`
 //!    pattern sets (the fold must be applied before any vector probe).
 //! 4. **Sharded + reassembly** — `ShardedMatcher` with simd on/off,
@@ -36,33 +38,22 @@ use dpi_accel::rulesets::{
     SegmentProfile, TrafficGenerator,
 };
 
-/// Anchors + pair layer at `horizon`: every lane stack built from them,
-/// full fast-path stack first, each labelled `prefilter=…/pairs=…`.
+/// Anchors at `horizon`: every lane stack built from them, the
+/// fast-path stack first, each labelled `prefilter=…`.
 fn build_stack(set: &PatternSet, horizon: u8) -> Vec<(String, CompiledAutomaton)> {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, horizon);
-    let pairs = PairTable::build_with_region(
-        &dfa,
-        set,
-        &anchors,
-        PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-    );
-    let mut out = Vec::new();
-    for prefilter in [true, false] {
-        for pairs_on in [true, false] {
-            let mut compiled = if prefilter {
-                CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone())
-            } else {
-                CompiledAutomaton::compile(&reduced)
-            };
-            if pairs_on {
-                compiled = compiled.with_pair_table(pairs.clone());
-            }
-            out.push((format!("prefilter={prefilter}/pairs={pairs_on}"), compiled));
-        }
-    }
-    out
+    vec![
+        (
+            "prefilter=true".to_string(),
+            CompiledAutomaton::compile_with_prefilter(&reduced, anchors),
+        ),
+        (
+            "prefilter=false".to_string(),
+            CompiledAutomaton::compile(&reduced),
+        ),
+    ]
 }
 
 /// The full lane matrix: simd × every lane stack. Without the `simd`
@@ -179,7 +170,7 @@ fn cuts_inside_simd_windows() {
 
     // ±1 around every vector-width multiple, both widths at once —
     // every cut is at an odd offset, so each resumed chunk re-enters
-    // the lane (and the stride-2 pair walk) misaligned.
+    // the lane misaligned.
     for width in [16usize, 32] {
         let cuts: Vec<usize> = (1..payload.len() / width)
             .flat_map(|i| [i * width - 1, i * width + 1])
@@ -223,62 +214,39 @@ fn cuts_inside_simd_windows() {
     }
 }
 
-/// A calm-pair rescue whose pair straddles a vector probe window must
-/// resume *past* the consumed second byte (the scalar walk's `i += 2`),
-/// not re-test it as a fresh position — `is_calm` proves region
-/// containment only after BOTH bytes, so an exit between them would
-/// rebuild an unguaranteed register state.
-///
-/// The test plants a rescue triple `(p, c, d)` — `p` reachable through
-/// filler, `(p, c)` danger (the exact probe fires at `c`), `(c, d)`
-/// calm (the rescue consumes both) — followed by a byte `e` that is
-/// danger after `d` when one exists (forcing a real exit + register
-/// rebuild right behind the rescue). The triple is swept across a full
-/// 32-byte span of offsets, so each probe width meets the rescue at
-/// every in-window position including the last flag of a window — the
-/// alignment where the consumed second byte lands exactly on the next
-/// probe's first position. A boundary cut between `c` and `d` rides
-/// along (suspend mid-rescue-pair, settle on resume).
+/// A lane exit planted at every in-window offset of the vector probes,
+/// with a second exit and register rebuild right behind it. The exit
+/// `(p, c)` — `p` reachable through skippable filler, `(p, c)` danger —
+/// is followed by `d` and a byte `e` that is danger after `d` when one
+/// exists. Swept across a full 32-byte span of offsets, each probe
+/// width meets the exit at every in-window position, including the
+/// last flag of a window (where a pair consumed across the window edge
+/// once had to resume past its second byte); a cut between `c` and `d`
+/// suspends right behind the exit.
 #[test]
 fn calm_pair_rescue_straddling_probe_windows() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
-    let stacks = build_stack(&set, AnchorSet::DEFAULT_HORIZON);
     let dfa = Dfa::build(&set);
     let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-    let pairs = PairTable::build_with_region(
-        &dfa,
-        &set,
-        &anchors,
-        PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-    );
-
+    let stacks = build_stack(&set, AnchorSet::DEFAULT_HORIZON);
     let filler = (0..=255u8)
         .find(|&b| anchors.is_skippable(b))
         .expect("300-rule set has skippable bytes");
-    let mut triples: Vec<(u8, u8, u8)> = Vec::new();
+    let mut planted: Vec<(u8, u8)> = Vec::new();
     for p in 0..=255u8 {
         if anchors.is_danger(filler as u32, p) {
             continue;
         }
-        if let Some((c, d)) = (0..=255u8).find_map(|c| {
-            (anchors.is_danger(p as u32, c))
-                .then(|| (0..=255u8).find(|&d| pairs.is_calm(c, d)).map(|d| (c, d)))
-                .flatten()
-        }) {
-            triples.push((p, c, d));
-            if triples.len() >= 4 {
+        if let Some(c) = (0..=255u8).find(|&c| anchors.is_danger(p as u32, c)) {
+            planted.push((p, c));
+            if planted.len() >= 4 {
                 break;
             }
         }
     }
-    assert!(
-        !triples.is_empty(),
-        "no rescue triple in the 300-rule tables — pick another seed"
-    );
-
-    for &(p, c, d) in &triples {
-        // A hard successor forces an exit + rebuild right behind the
-        // consumed pair; if none exists, filler keeps the lane running.
+    assert!(!planted.is_empty(), "no danger pair in the 300-rule tables");
+    for &(p, c) in &planted {
+        let d = filler;
         let e = (0..=255u8)
             .find(|&e| anchors.is_danger(d as u32, e))
             .unwrap_or(filler);
@@ -287,55 +255,16 @@ fn calm_pair_rescue_straddling_probe_windows() {
             payload.extend_from_slice(&[p, c, d, e]);
             payload.extend(std::iter::repeat_n(filler, 64));
             let reference = dtp_reference(&set, &payload);
-            let ctx = format!("rescue triple ({p:#04x},{c:#04x},{d:#04x})+{e:#04x} lead {lead}");
+            let ctx = format!("exit ({p:#04x},{c:#04x})+{e:#04x} lead {lead}");
             assert_matrix_conforms(&stacks, &set, &reference, &payload, &[], &ctx);
-            // Suspend between the rescue pair's two bytes.
-            let cut = vec![lead + 2];
             assert_matrix_conforms(
                 &stacks,
                 &set,
                 &reference,
                 &payload,
-                &cut,
-                &format!("{ctx} (mid-pair cut)"),
+                &[lead + 2],
+                &format!("{ctx} (cut behind the exit)"),
             );
-        }
-    }
-}
-
-/// The cross-table invariant that shields a rescue's consumed second
-/// byte: a calm pair is never danger-keyed. `is_calm(c, d)` quantifies
-/// over every region state — including the one START reaches through
-/// `c`, which is exactly the state the `(c, d)` danger bit is derived
-/// from — so `is_calm(c, d) ⇒ !is_danger(c, d)` structurally. The
-/// vector walk no longer *relies* on this (a straddling rescue advances
-/// past its consumed byte outright), but the invariant is what makes
-/// any re-test of a consumed calm-pair byte inert, so pin it.
-#[test]
-fn calm_pairs_are_never_danger_keyed() {
-    for (n, seed) in [(300usize, 42u64), (150, 0x6E0)] {
-        let set = extract_preserving(&master_ruleset(), n, seed);
-        let dfa = Dfa::build(&set);
-        for horizon in 1u8..=2 {
-            let anchors = AnchorSet::build(&dfa, &set, horizon);
-            let pairs = PairTable::build_with_region(
-                &dfa,
-                &set,
-                &anchors,
-                PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-            );
-            if !pairs.has_region_rows() {
-                continue;
-            }
-            for c in 0..=255u8 {
-                for d in 0..=255u8 {
-                    assert!(
-                        !(pairs.is_calm(c, d) && anchors.is_danger(c as u32, d)),
-                        "calm pair ({c:#04x}, {d:#04x}) is danger-keyed \
-                         ({n} rules, horizon {horizon})"
-                    );
-                }
-            }
         }
     }
 }

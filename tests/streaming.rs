@@ -20,24 +20,13 @@ use dpi_accel::prelude::*;
 use dpi_accel::rulesets::{chop, extract_preserving, master_ruleset, ChopProfile};
 use proptest::prelude::*;
 
-/// Compiles `set` with the full default fast-path stack — anchors at the
-/// default horizon plus a pair layer with region rows and two hot rows —
-/// and, from the same pair table, the pairs-only stack:
-/// `[lane+pairs, pairs-only]`.
-fn compiled_with_pairs(set: &PatternSet) -> [CompiledAutomaton; 2] {
+/// Compiles `set` with the shipped fast-path stack: the anchor skip
+/// lane at the default horizon.
+fn compiled_with_lane(set: &PatternSet) -> CompiledAutomaton {
     let dfa = Dfa::build(set);
     let reduced = ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
     let anchors = AnchorSet::build(&dfa, set, AnchorSet::DEFAULT_HORIZON);
-    let pairs = PairTable::build_with_region(
-        &dfa,
-        set,
-        &anchors,
-        PairTable::REGION_ROW_BYTES + 2 * PairTable::ROW_BYTES,
-    );
-    [
-        CompiledAutomaton::compile_with_prefilter(&reduced, anchors).with_pair_table(pairs.clone()),
-        CompiledAutomaton::compile(&reduced).with_pair_table(pairs),
-    ]
+    CompiledAutomaton::compile_with_prefilter(&reduced, anchors)
 }
 
 /// Splits `payload` at the (possibly ragged) cut offsets drawn from
@@ -103,21 +92,17 @@ fn streaming_agrees(patterns: Vec<Vec<u8>>, payload: Vec<u8>, cuts: Vec<usize>) 
     }
     assert_eq!(got, naive, "compiled streaming diverged at cuts {cuts:?}");
 
-    // Stride-2 pair lane (with the anchor lane, and alone): pair
-    // alignment is taken from wherever a chunk resumes, so every cut —
-    // odd offsets included — exercises the suspend/resume path.
-    let [paired, pairs_only] = compiled_with_pairs(&set);
-    for (name, m) in [
-        ("lane+pairs", CompiledMatcher::new(&paired, &set)),
-        ("pairs-only", CompiledMatcher::new(&pairs_only, &set)),
-    ] {
-        let mut state = ScanState::fresh();
-        let mut got = Vec::new();
-        for seg in &segments {
-            m.scan_chunk_into(&mut state, seg, &mut got);
-        }
-        assert_eq!(got, naive, "{name} streaming diverged at cuts {cuts:?}");
+    // Anchor skip lane: the lane suspends wherever a chunk ends —
+    // mid-skip-window and mid-walk included — and rebuilds its
+    // registers on resume.
+    let lane = compiled_with_lane(&set);
+    let m = CompiledMatcher::new(&lane, &set);
+    let mut state = ScanState::fresh();
+    let mut got = Vec::new();
+    for seg in &segments {
+        m.scan_chunk_into(&mut state, seg, &mut got);
     }
+    assert_eq!(got, naive, "lane streaming diverged at cuts {cuts:?}");
 
     // A suspended compiled state must resume identically under the
     // reference matcher and vice versa (states are interchangeable
