@@ -140,21 +140,6 @@ pub struct AnchorSet {
     /// Conditional `(prev, c)` exit pairs installed in the danger table
     /// (pairs beyond the unconditional per-byte exits).
     pair_count: usize,
-    /// Nibble-split shuffle tables of the candidate-anchor byte set
-    /// (`{b : !is_skippable(b)}`) — the conformance surface
-    /// `tests/simd.rs` pins the shuffle classifier against the skip
-    /// bitmap on (the engine's vector lane walks the danger cover
-    /// below instead). Cheap to derive (one 256-byte sweep), so it is
-    /// built unconditionally.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    simd_cand: crate::simd::ByteSetTables,
-    /// Nibble-box cover of the *byte-keyed* danger rows (`prev ≤ 0xFF`;
-    /// the `HIST_NONE` row stays scalar — the lane settles its entry
-    /// byte exactly before the vector walk engages), or `None` when the
-    /// cover is too dense to profit — see
-    /// [`AnchorSet::SIMD_COVER_MAX_COVERAGE`].
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    simd_danger: Option<crate::simd::PairCover>,
 }
 
 impl AnchorSet {
@@ -299,24 +284,6 @@ impl AnchorSet {
             d1,
             shallow,
             pair_count,
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            simd_cand: crate::simd::ByteSetTables::build(|raw| {
-                cand[raw as usize] != 0
-            }),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            simd_danger: {
-                // The greedy cover clustering is the expensive part of
-                // this build; skip it wholesale on CPUs the vector walk
-                // can never run on (no SSSE3 ⇒ no SimdToken ⇒ the lane
-                // stays scalar and never reads the cover).
-                crate::simd::SimdToken::detect().and_then(|_| {
-                    let cover = crate::simd::PairCover::build(|p, c| {
-                        let idx = p as usize * 256 + c as usize;
-                        (danger[idx >> 6] >> (idx & 63)) & 1 != 0
-                    });
-                    (cover.coverage() <= Self::SIMD_COVER_MAX_COVERAGE).then_some(cover)
-                })
-            },
             cand,
             danger,
         }
@@ -381,42 +348,6 @@ impl AnchorSet {
             m |= (self.cand[b as usize] as u32) << j;
         }
         m
-    }
-
-    /// Nibble-split shuffle tables of the candidate-anchor byte set: a
-    /// byte is in the set ⇔ `!is_skippable(b)` — the exact complement
-    /// of the skip bitmap, as `tests/simd.rs` pins exhaustively. This
-    /// is the conformance surface for the shuffle classifier (and the
-    /// kernel/model differential suite); the engine's vector lane walks
-    /// the [`AnchorSet::simd_danger`] cover, not these tables.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline(always)]
-    pub fn simd_candidates(&self) -> &crate::simd::ByteSetTables {
-        &self.simd_cand
-    }
-
-    /// Profitability ceiling for the vector danger cover: a cover
-    /// flagging more than this fraction of the uniform `(prev, byte)`
-    /// key space spends more on exact confirmations than its wholesale
-    /// consumption saves, so [`AnchorSet::simd_danger`] withholds it and
-    /// the lane stays scalar. Measured on the repro rule sets: the
-    /// 300-rule cover sits at ~4 % (vector walk profitable), the
-    /// 6,275-rule one at ~36 % (danger itself is ~24 % of traffic
-    /// bytes — there is nothing for a one-sided probe to skip).
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    pub const SIMD_COVER_MAX_COVERAGE: f64 = 0.15;
-
-    /// The nibble-box cover of the danger relation for the vector walk
-    /// ([`SimdToken::danger_scan`](crate::simd::SimdToken::danger_scan)),
-    /// or `None` when the relation is too dense for the probe to pay
-    /// for itself — or when the running CPU lacks SSSE3, in which case
-    /// the cover was never built (no token can exist to consume it).
-    /// Covers only byte-valued prevs; the `HIST_NONE` row is the
-    /// caller's to settle exactly.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline(always)]
-    pub fn simd_danger(&self) -> Option<&crate::simd::PairCover> {
-        self.simd_danger.as_ref()
     }
 
     /// Exact per-byte exit test of the lane: `true` when consuming

@@ -35,11 +35,10 @@
 //! # Ok::<(), dpi_automaton::PatternSetError>(())
 //! ```
 
-// The `simd` feature admits `unsafe` in exactly one module (`simd`,
-// runtime-detected intrinsics); the portable build still forbids it
-// outright, and even with the feature on, `deny` keeps every unsafe
-// block behind an explicit per-item `allow` in that module.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
+// On x86_64 one module (`simd`, runtime-detected intrinsics) admits
+// `unsafe`; every other target forbids it outright, and on x86_64
+// `deny` keeps every unsafe block behind that module's explicit `allow`.
+#![cfg_attr(not(target_arch = "x86_64"), forbid(unsafe_code))]
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -52,11 +51,11 @@ mod nfa;
 mod pattern;
 mod proptests;
 mod shard;
-// x86 SIMD classification kernels behind the `simd` cargo feature; see
-// the module docs. (No outer doc comment: rustdoc resolves merged
+// x86 SIMD byte-set classification for the two-stage singles sweep;
+// see the module docs. (No outer doc comment: rustdoc resolves merged
 // outer+inner module docs in the parent scope, breaking the module's
 // intra-doc links.)
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub mod simd;
 mod stats;
 mod stream;
@@ -76,21 +75,6 @@ pub use shard::{ShardCostModel, ShardPlan, ShardPlanError, ShardSpec, SplitStrat
 pub use stats::DfaStats;
 pub use stream::ScanState;
 pub use trie::{StateId, Trie, TrieState};
-
-/// Whether the SIMD scan kernels can run here: the crate was built with
-/// the `simd` feature on an x86_64 target **and** the running CPU
-/// supports SSSE3. Portable builds return `false` and every matcher
-/// uses the safe scalar lanes.
-pub fn simd_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        simd::SimdToken::detect().is_some()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
 
 #[cfg(test)]
 mod crate_tests {

@@ -6,14 +6,9 @@
 //!
 //! Experiments: `fig1 fig2 fig3 fig6 table1 table2 table3 fig7 fig8
 //! ablation-k2 ablation-depth match-sharing m144k asic adversarial
-//! sim-validate sw-throughput sw-throughput-clean sw-throughput-simd
-//! sharded-throughput two-stage flow-throughput stream-robustness
-//! service-robustness protocol-robustness swap-drain all`.
-//!
-//! `sw-throughput-simd` needs the `simd` cargo feature
-//! (`cargo run --release --features simd -p dpi-bench --bin repro --
-//! sw-throughput-simd`); without it the experiment prints a note and
-//! emits no rows.
+//! sim-validate sw-throughput sw-throughput-clean sharded-throughput
+//! two-stage flow-throughput stream-robustness service-robustness
+//! protocol-robustness swap-drain all`.
 //!
 //! Each experiment prints the paper's published values next to this
 //! reproduction's measured values. Absolute agreement is not expected for
@@ -54,7 +49,6 @@ fn main() {
         ("sim-validate", sim_validate),
         ("sw-throughput", sw_throughput),
         ("sw-throughput-clean", sw_throughput_clean),
-        ("sw-throughput-simd", sw_throughput_simd),
         ("sharded-throughput", sharded_throughput),
         ("two-stage", two_stage),
         ("flow-throughput", flow_throughput),
@@ -760,6 +754,37 @@ fn best_secs(reps: usize, mut scan: impl FnMut() -> usize) -> (f64, usize) {
     (best, matches)
 }
 
+/// Times `sides` scanners in one interleaved loop: every rep scans each
+/// side once, rotating which goes first, and each timed scan follows an
+/// untimed one by the same scanner. Returns each side's median seconds
+/// and its last match count. Clock drift and noisy neighbours move
+/// every side together, so ratios between sides compare like with like.
+fn interleaved_medians(
+    reps: usize,
+    sides: usize,
+    mut scan: impl FnMut(usize) -> usize,
+) -> (Vec<f64>, Vec<usize>) {
+    let mut times = vec![Vec::with_capacity(reps); sides];
+    let mut matches = vec![0usize; sides];
+    for rep in 0..reps {
+        for k in 0..sides {
+            let side = (rep + k) % sides;
+            scan(side);
+            let start = std::time::Instant::now();
+            matches[side] = scan(side);
+            times[side].push(start.elapsed().as_secs_f64());
+        }
+    }
+    let medians = times
+        .iter_mut()
+        .map(|t| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        })
+        .collect();
+    (medians, matches)
+}
+
 /// One measured on/off A/B pair, shared by every experiment that
 /// compares a fast-path switch against its baseline: alternates the two
 /// scans rep by rep and takes each side's best, so slow clock drift
@@ -978,169 +1003,6 @@ fn sw_throughput_clean() {
     );
 }
 
-/// SIMD scan lane: the `simd` feature's on/off A/B
-/// (`dpi_automaton::simd` + the compiled engine's vector danger walk).
-///
-/// Interleaved A/B pairs per ruleset size, both sides the same matcher
-/// with only [`dpi_core::CompiledMatcher::with_simd`] flipped — so every
-/// pair isolates the one kernel the feature changes:
-///
-/// - **window** (the shipped skip-lane stack): the scalar danger walk vs
-///   the 16/32-byte nibble-box vector walk on generator traffic. These
-///   rows are *exit-bound*: on generator clean traffic at 300 rules a
-///   danger byte lands every ~51 bytes on average (median lane span is
-///   just 13 bytes), so per-exit stepper/rebuild costs dominate and
-///   Amdahl caps any lane kernel at ~1.1-1.2x — the rows assert
-///   no-regression, not the 2x target;
-/// - **window-laneclean** (300 rules only): a deterministic exit-free
-///   clean payload (bytes that are non-skippable — defeating the SWAR
-///   skip window — and never danger under any history). This isolates
-///   the lane walk itself, which is the thing the `simd` feature
-///   rebuilds, and carries the >=2x assertion.
-///
-/// Requires the `simd` cargo feature; prints a note and emits no rows
-/// otherwise, so the portable bench pipeline is unaffected.
-fn sw_throughput_simd() {
-    use dpi_automaton::{AnchorSet, Match};
-    use dpi_core::{CompiledAutomaton, CompiledMatcher};
-
-    const PAYLOAD: usize = 1 << 20;
-
-    if !dpi_automaton::simd_available() {
-        println!(
-            "simd kernels unavailable (built without `--features simd`, non-x86_64,\nor no SSSE3 on this CPU) — nothing to A/B; skipping.\n\n  cargo run --release --features simd -p dpi-bench --bin repro -- sw-throughput-simd"
-        );
-        return;
-    }
-
-    println!("simd scan lane (nibble-split shuffle danger walk), 1 MiB payloads, on/off A/B\n");
-    println!(
-        "{}{}{}{}matches",
-        cell("workload", 26),
-        cell("off MB/s", 10),
-        cell("on MB/s", 10),
-        cell("speedup", 9),
-    );
-    let master = master_ruleset();
-    let mut window_speedups: Vec<(String, String, f64)> = Vec::new();
-    for (label, set) in [
-        ("300", dpi_rulesets::extract_preserving(&master, 300, 42)),
-        ("6275", master.clone()),
-    ] {
-        let dfa = Dfa::build(&set);
-        let reduced = dpi_core::ReducedAutomaton::reduce(&dfa, DtpConfig::PAPER);
-        let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-        // Exit-free clean payload: bytes the SWAR skip window cannot
-        // skip, yet which never raise danger under any history —
-        // the lane consumes them wholesale in both builds, zero
-        // matches, zero lane exits. The pair must also be unflagged by
-        // the nibble-box cover so the vector walk stays on its
-        // consume path (the cover false-flags ~11% of keys; this row
-        // measures the walk on the ~89% clean-key majority, which is
-        // the regime the cover's profitability gate guarantees).
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        let cover_clean = |x: u8, y: u8| {
-            anchors.simd_danger().is_none_or(|cov| {
-                !cov.model_flags(x, y) && !cov.model_flags(y, x)
-            })
-        };
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        let cover_clean = |_x: u8, _y: u8| true;
-        let lane_ok = |b: u8| {
-            !anchors.is_skippable(b) && !(0..=256u32).any(|p| anchors.is_danger(p, b))
-        };
-        let lane_pair = (0..=255u8)
-            .flat_map(|x| (x..=255u8).map(move |y| (x, y)))
-            .find(|&(x, y)| lane_ok(x) && lane_ok(y) && cover_clean(x, y));
-        let laneclean: Option<Vec<u8>> = lane_pair.map(|(x, y)| {
-            (0..PAYLOAD)
-                .map(|i| if i % 2 == 0 { x } else { y })
-                .collect()
-        });
-        let window = CompiledAutomaton::compile_with_prefilter(&reduced, anchors.clone());
-        let mut gen = TrafficGenerator::new(0x51D0);
-        let clean = gen.clean_packet(PAYLOAD).payload;
-        let infected = gen.infected_packet(PAYLOAD, &set, 64).payload;
-        // Realistic long-span traffic: a TLS session (handshake +
-        // uniform-byte records). Like generator clean traffic it is
-        // exit-bound for the lane, so the row asserts no-regression,
-        // not the exit-free 2x — an honest number for the traffic mix
-        // the two-stage experiment runs on.
-        let tls = TrafficGenerator::new(0x715_0DD).tls_stream(PAYLOAD).payload;
-
-        let on = CompiledMatcher::new(&window, &set);
-        let off = on.clone().with_simd(false);
-        assert!(on.simd(), "simd_available() implies matcher tokens");
-
-        let mut rows: Vec<(&str, &Vec<u8>)> = vec![
-            ("window-clean", &clean),
-            ("window-tls", &tls),
-            ("window-infected", &infected),
-        ];
-        if let Some(laneclean) = laneclean.as_ref() {
-            if label == "300" {
-                rows.insert(1, ("window-laneclean", laneclean));
-            }
-        }
-        for (kind, payload) in rows {
-            let mut buf: Vec<Match> = Vec::with_capacity(1024);
-            let mut buf2: Vec<Match> = Vec::with_capacity(1024);
-            let row = ab_bench_row(
-                &format!("sw-throughput-simd/{label}-{kind}"),
-                PAYLOAD,
-                7,
-                || {
-                    off.scan_into(payload, &mut buf);
-                    buf.len()
-                },
-                || {
-                    on.scan_into(payload, &mut buf2);
-                    buf2.len()
-                },
-            );
-            if kind != "window-infected" {
-                window_speedups.push((label.to_string(), kind.to_string(), row.speedup()));
-            }
-            println!(
-                "{}{}{}{}{}",
-                cell(&format!("[{label}] {kind}"), 26),
-                cell(&format!("{:.0}", PAYLOAD as f64 / row.off_secs / 1e6), 10),
-                cell(&format!("{:.0}", PAYLOAD as f64 / row.on_secs / 1e6), 10),
-                cell(&format!("{:.2}x", row.speedup()), 9),
-                row.matches
-            );
-        }
-    }
-    // The >=2x-over-the-scalar-SWAR-window target is asserted on the
-    // exit-free laneclean row, where the lane walk is the whole cost
-    // (measured ~7x here). Generator-traffic and TLS window rows are
-    // exit-bound — a danger byte every ~51 bytes, median lane span 13,
-    // ~19k lane exits per MiB — so per-exit stepper/rebuild costs cap
-    // any lane kernel near parity; they assert no-regression only.
-    // Floors sit below targets so hardware/noise variance cannot flake
-    // CI — under them the vector walk actually broke.
-    for (label, kind, s) in &window_speedups {
-        if kind == "window-laneclean" {
-            assert!(
-                *s >= 2.0,
-                "[{label}] simd lane-walk speedup {s:.2}x lost the exit-free 2x target"
-            );
-        } else {
-            assert!(
-                *s >= 0.85,
-                "[{label}] simd window speedup {s:.2}x regressed on generator traffic (floor 0.85x)"
-            );
-        }
-    }
-    assert!(
-        window_speedups.iter().any(|(_, k, _)| k == "window-laneclean"),
-        "no exit-free byte pair at 300 rules — laneclean row missing"
-    );
-    println!(
-        "\n(window rows run the vector danger walk — nibble-box pshufb cover of\n the (prev, byte) danger relation, 16/32 bytes per probe, flagged\n positions re-checked against the exact bitmap — against the scalar\n per-byte danger walk. generator-traffic rows are exit-bound (median\n lane span 13 bytes at 300 rules) and assert no-regression; the\n laneclean row is exit-free and carries the 2x target. matches are\n asserted identical for every pairing — the lane is scan-invisible)"
-    );
-}
-
 /// Shard-per-core scanning on the large workload: the monolithic
 /// compiled automaton for the full 6,275-string master exceeds any
 /// per-core cache and pays a miss-bound scan rate; `ShardedMatcher`
@@ -1285,7 +1147,8 @@ fn sharded_throughput() {
 /// the same scanner: a core dedicated to one ruleset keeps its tables
 /// in L2, and without the warm-up every sample would charge the
 /// cache-resident stage 1 an L2 refill the monolith (whose arena
-/// overflows L2 anyway) never pays.
+/// overflows L2 anyway) never pays. The infected rows are timed the
+/// same way, 25k and 100k interleaved.
 /// Alongside the throughput rows it emits the honesty counters as
 /// value rows (`bytes_per_iter = 0`, value in the `median_ns` slot):
 /// false-positive window rate and replay fraction in parts-per-million,
@@ -1356,26 +1219,28 @@ fn two_stage() {
             outs[side - 1].len()
         }
     };
-    let sides = 1 + stages.len();
-    let mut times = vec![Vec::with_capacity(REPS); sides];
-    let mut matches = vec![0usize; sides];
-    for rep in 0..REPS {
-        for k in 0..sides {
-            let side = (rep + k) % sides;
-            scan(side);
-            let start = std::time::Instant::now();
-            matches[side] = scan(side);
-            times[side].push(start.elapsed().as_secs_f64());
-        }
-    }
-    let medians: Vec<f64> = times
-        .iter_mut()
-        .map(|t| {
-            t.sort_by(f64::total_cmp);
-            t[t.len() / 2]
+    let (medians, matches) = interleaved_medians(REPS, 1 + stages.len(), &mut scan);
+    let mono_secs = medians[0];
+
+    // The speed is only admissible if the composition stays exact:
+    // each infected stream's reference comes from the exact engine
+    // alone. The infected rows are timed like the TLS rows, 25k and
+    // 100k interleaved, each side's median reported.
+    let infected: Vec<(Vec<u8>, Vec<Match>)> = stages
+        .iter()
+        .map(|(rules, set, config, _)| {
+            let mut gen = TrafficGenerator::new(0xBAD_F00D ^ *rules as u64);
+            let payload = gen.infected_packet(1 << 18, set, 48).payload;
+            let exact = ShardedMatcher::build(set, &config.exact).expect("same plan as stage 2");
+            let mut want = Vec::new();
+            exact.scan_into(&payload, &mut exact.scratch(), &mut want);
+            (payload, want)
         })
         .collect();
-    let mono_secs = medians[0];
+    let (inf_medians, _) = interleaved_medians(REPS, stages.len(), |i| {
+        stages[i].3.scan_into(&infected[i].0, &mut scratches[i], &mut outs[i]);
+        outs[i].len()
+    });
     emit("monolith-6275-tls", mono_secs);
 
     println!(
@@ -1408,7 +1273,7 @@ fn two_stage() {
         thousands(matches[0]),
     );
 
-    for (i, (rules, set, config, two)) in stages.iter().enumerate() {
+    for (i, (rules, _, _, two)) in stages.iter().enumerate() {
         let rules = *rules;
         let secs = medians[i + 1];
         let scratch = &mut scratches[i];
@@ -1424,21 +1289,10 @@ fn two_stage() {
         );
         value(&format!("{tag}-pre-depth"), two.pre_depth() as f64);
 
-        // The speed is only admissible if the composition stays exact:
-        // replay an infected stream through both engines.
-        let mut gen = TrafficGenerator::new(0xBAD_F00D ^ rules as u64);
-        let infected = gen.infected_packet(1 << 18, set, 48).payload;
-        let exact = ShardedMatcher::build(set, &config.exact).expect("same plan as stage 2");
-        let mut ex_scratch = exact.scratch();
-        let mut want: Vec<Match> = Vec::new();
-        exact.scan_into(&infected, &mut ex_scratch, &mut want);
-        let mut got: Vec<Match> = Vec::new();
-        let inf_stats = two.scan_into(&infected, scratch, &mut got);
-        assert_eq!(got, want, "two-stage diverged from exact at {rules} rules");
-        let (inf_secs, _) = best_secs(3, || {
-            two.scan_into(&infected, scratch, &mut got);
-            got.len()
-        });
+        let (payload, want) = &infected[i];
+        let inf_stats = two.scan_into(payload, scratch, out);
+        assert_eq!(out, want, "two-stage diverged from exact at {rules} rules");
+        let inf_secs = inf_medians[i];
         dpi_bench::bench_json_row(
             &format!("two-stage/{tag}-infected"),
             inf_secs * 1e9,

@@ -45,8 +45,6 @@
 //! [`DtpConfig::NONE`]: crate::DtpConfig::NONE
 
 use crate::reduce::ReducedAutomaton;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use dpi_automaton::simd::SimdToken;
 use dpi_automaton::{AnchorSet, Match, MultiMatcher, PatternId, PatternSet, ScanState, StateId};
 
 /// History-register value meaning "no byte observed yet" (one past any
@@ -616,12 +614,6 @@ pub struct CompiledMatcher<'a> {
     /// sets) — one unconditional load per byte instead of a per-byte
     /// branch.
     fold: &'static [u8; 256],
-    /// Detection witness for the SIMD danger walk (`Some` on by default
-    /// when the CPU qualifies; see
-    /// [`CompiledMatcher::with_simd`]). Absent entirely in portable
-    /// builds, so the safe lanes carry no flag check.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    simd: Option<SimdToken>,
 }
 
 impl<'a> CompiledMatcher<'a> {
@@ -636,42 +628,6 @@ impl<'a> CompiledMatcher<'a> {
             automaton,
             set,
             fold: set.fold_table(),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            simd: SimdToken::detect(),
-        }
-    }
-
-    /// Enables or disables the SIMD fast-lane kernel (the 16/32-byte
-    /// shuffle danger walk) for subsequent scans; disabling selects the
-    /// scalar reference lane. On by default when the crate was built
-    /// with the `simd` feature on x86_64 **and** the CPU supports SSSE3;
-    /// everywhere else (portable builds, non-x86 CPUs) this is a no-op
-    /// and the safe scalar lanes run — observable results are
-    /// byte-identical either way (pinned by `tests/simd.rs`).
-    pub fn with_simd(self, enabled: bool) -> Self {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            let mut m = self;
-            m.simd = if enabled { SimdToken::detect() } else { None };
-            m
-        }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        {
-            let _ = enabled;
-            self
-        }
-    }
-
-    /// Whether the SIMD kernels are active (always `false` in portable
-    /// builds and on CPUs without SSSE3).
-    pub fn simd(&self) -> bool {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            self.simd.is_some()
-        }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        {
-            false
         }
     }
 
@@ -766,22 +722,8 @@ impl<'a> CompiledMatcher<'a> {
     /// short stepper excursions would otherwise reset it every few
     /// bytes): `0` = window mode; otherwise the walk-run length before
     /// the next probe.
-    ///
-    /// With `SIMD` (a detection token rode in via
-    /// [`CompiledMatcher::with_simd`]) and a profitable danger cover
-    /// ([`AnchorSet::simd_danger`]), the call routes to
-    /// [`CompiledMatcher::lane_advance_simd`]: the window/walk
-    /// alternation is replaced by one nibble-box cover walk that tests
-    /// 16/32 `(prev, byte)` danger keys per shuffle probe, consuming
-    /// unflagged bytes on exactly the evidence the scalar walk's
-    /// per-byte danger test would have used and settling flagged ones
-    /// with the exact bitmap. Exit semantics and the register rebuild
-    /// are shared, so the lanes differ only in how fast they consume
-    /// provably-inert bytes (pinned by `tests/simd.rs`); rule sets whose
-    /// cover is too dense to profit fall through to the scalar lane
-    /// below.
     #[inline(always)]
-    fn lane_advance<const SIMD: bool>(
+    fn lane_advance(
         &self,
         pf: &AnchorSet,
         regs: &mut ScanRegs,
@@ -790,21 +732,6 @@ impl<'a> CompiledMatcher<'a> {
         run: &mut usize,
     ) -> usize {
         debug_assert!(pf.contains_state(regs.state), "lane entered off-region");
-        if SIMD {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            {
-                if pf.simd_danger().is_some() {
-                    let tok = self.simd.expect("SIMD lane without token");
-                    // The dispatch frame compiles the whole lane call
-                    // with the detected features enabled, so the probe
-                    // kernels inline and their shuffle tables load once
-                    // per lane entry, not once per probe run.
-                    return tok.dispatch(|| self.lane_advance_simd(pf, regs, chunk, i0, run));
-                }
-                // No profitable cover for this rule set: the scalar
-                // lane below is the fast path.
-            }
-        }
         let len = chunk.len();
         let entry_prev = regs.prev;
         let mut i = i0;
@@ -866,117 +793,15 @@ impl<'a> CompiledMatcher<'a> {
                 *run = (*run * 2).min(LANE_PROBE_MAX);
             }
         };
-        self.rebuild_lane_regs(pf, regs, chunk, i0, exit, entry_prev);
-        exit
-    }
-
-    /// The vector lane: [`CompiledMatcher::lane_advance`] with the
-    /// window/walk alternation replaced by one
-    /// [`SimdToken::danger_scan`] loop over the danger-relation nibble-
-    /// box cover.
-    ///
-    /// Measurement forced this shape (see `crates/automaton/src/simd.rs`
-    /// and the `sw-throughput-simd` repro rows): on the repro traffic
-    /// *no* 8/16/32-byte window is fully skippable — the scalar lane's
-    /// whole budget is the per-byte `danger[prev << 8 | c]` walk, so
-    /// vectorizing window classification (the candidate membership
-    /// mask) measured at parity or worse. The cover probe vectorizes
-    /// the walk itself: 16/32 danger tests per probe, where an unflagged
-    /// byte is consumed on exactly the evidence the scalar walk would
-    /// have used (the cover is one-sided: unflagged ⇒ the `(prev, byte)`
-    /// danger bit is clear), a flagged byte gets the exact bitmap probe,
-    /// and only a *true* danger hit exits the lane — a false flag costs
-    /// one load, never an exit/rebuild round trip.
-    ///
-    /// Composition with the surrounding machinery is unchanged from the
-    /// scalar lane: the entry byte is settled with the exact bit against
-    /// the *suspended register* (possibly [`HIST_NONE`] after a resume
-    /// or a reassembly hole-skip reset — a key the cover does not
-    /// carry), sub-width tails fall back to the scalar walk, and the
-    /// exit register rebuild is shared. When the rule set was too dense
-    /// for a profitable cover ([`AnchorSet::simd_danger`] is `None`) the
-    /// scalar lane runs unchanged.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline(always)]
-    fn lane_advance_simd(
-        &self,
-        pf: &AnchorSet,
-        regs: &mut ScanRegs,
-        chunk: &[u8],
-        i0: usize,
-        run: &mut usize,
-    ) -> usize {
-        let Some(cover) = pf.simd_danger() else {
-            return self.lane_advance::<false>(pf, regs, chunk, i0, run);
-        };
-        let tok = self.simd.expect("SIMD lane without token");
-        let width = tok.scan_width();
-        let len = chunk.len();
-        let entry_prev = regs.prev;
-        let mut i = i0;
-        let exit = 'lane: {
-            // Entry byte: its predecessor is the suspended register
-            // (fold-idempotent, possibly HIST_NONE) — settle exactly.
-            if i < len {
-                if pf.is_danger(entry_prev, chunk[i]) {
-                    break 'lane i;
-                }
-                i += 1;
-            }
-            // Vector walk: every probed byte's predecessor is in the
-            // buffer (i ≥ 1 holds from here on).
-            while i + width <= len {
-                let (base, mut flags) = tok.danger_scan(cover, chunk, i);
-                if flags == 0 {
-                    // Clear through the tail window boundary.
-                    i = base;
-                    break;
-                }
-                while flags != 0 {
-                    let j = base + flags.trailing_zeros() as usize;
-                    flags &= flags - 1;
-                    if pf.is_danger(chunk[j - 1] as u32, chunk[j]) {
-                        break 'lane j;
-                    }
-                }
-                i = base + width;
-            }
-            // Scalar tail (and the no-cover walk for short chunks).
-            let mut prev = if i > i0 { chunk[i - 1] as u32 } else { entry_prev };
-            while i < len {
-                let c = chunk[i];
-                if pf.is_danger(prev, c) {
-                    break 'lane i;
-                }
-                prev = c as u32;
-                i += 1;
-            }
-            len
-        };
-        self.rebuild_lane_regs(pf, regs, chunk, i0, exit, entry_prev);
-        exit
-    }
-
-    /// Rebuilds the registers the plain scan would hold after the lane
-    /// consumed `chunk[i0..exit]`: history from the buffer tail
-    /// (shifting in the suspended registers at the boundary), state
-    /// from the history — for horizons ≤ 1 a depth-1 map lookup; for
-    /// horizon 2 a two-byte replay from the start state under
-    /// start-signal masking (the state may sit at depth 2, and the
-    /// longest-suffix invariant says replaying the last two bytes
-    /// reproduces any region state exactly; every replayed state is
-    /// lane-cleared, so there is nothing to emit). Shared by
-    /// [`CompiledMatcher::lane_advance`] and its vector variant.
-    #[inline(always)]
-    fn rebuild_lane_regs(
-        &self,
-        pf: &AnchorSet,
-        regs: &mut ScanRegs,
-        chunk: &[u8],
-        i0: usize,
-        exit: usize,
-        entry_prev: u32,
-    ) {
+        // Rebuild the registers the plain scan would hold after the lane
+        // consumed `chunk[i0..exit]`: history from the buffer tail
+        // (shifting in the suspended registers at the boundary), state
+        // from the history — for horizons ≤ 1 a depth-1 map lookup; for
+        // horizon 2 a two-byte replay from the start state under
+        // start-signal masking (the state may sit at depth 2, and the
+        // longest-suffix invariant says replaying the last two bytes
+        // reproduces any region state exactly; every replayed state is
+        // lane-cleared, so there is nothing to emit).
         if exit > i0 {
             regs.prev2 = if exit - i0 >= 2 {
                 self.fold[chunk[exit - 2] as usize] as u32
@@ -1002,6 +827,7 @@ impl<'a> CompiledMatcher<'a> {
                 pf.depth1_state(chunk[exit - 1])
             };
         }
+        exit
     }
 
     /// The skip-lane variant of the resumable core: alternates between
@@ -1011,7 +837,7 @@ impl<'a> CompiledMatcher<'a> {
     /// the state falls back into the region). Observable behaviour is
     /// byte-identical to the plain core.
     #[inline(always)]
-    fn scan_chunk_prefilter<const SIMD: bool>(
+    fn scan_chunk_prefilter(
         &self,
         pf: &AnchorSet,
         regs: &mut ScanRegs,
@@ -1026,7 +852,7 @@ impl<'a> CompiledMatcher<'a> {
         dispatch_stepper!(a, step => {{
             'scan: while i < len {
                 if pf.contains_state(regs.state) {
-                    i = self.lane_advance::<SIMD>(pf, regs, chunk, i, &mut run);
+                    i = self.lane_advance(pf, regs, chunk, i, &mut run);
                     if i >= len {
                         break 'scan;
                     }
@@ -1064,8 +890,8 @@ impl<'a> CompiledMatcher<'a> {
         }});
     }
 
-    /// One branch on the lane the automaton carries and the SIMD switch,
-    /// then into the matching monomorphized resumable core.
+    /// One branch on the lane the automaton carries, then into the
+    /// matching resumable core.
     #[inline(always)]
     fn scan_chunk_impl(
         &self,
@@ -1075,10 +901,7 @@ impl<'a> CompiledMatcher<'a> {
         on_match: impl FnMut(usize, PatternId),
     ) {
         match self.automaton.prefilter() {
-            Some(pf) if self.simd() => {
-                self.scan_chunk_prefilter::<true>(pf, regs, base, chunk, on_match)
-            }
-            Some(pf) => self.scan_chunk_prefilter::<false>(pf, regs, base, chunk, on_match),
+            Some(pf) => self.scan_chunk_prefilter(pf, regs, base, chunk, on_match),
             None => self.scan_chunk_plain(regs, base, chunk, on_match),
         }
     }
@@ -1197,11 +1020,9 @@ impl MultiMatcher for CompiledMatcher<'_> {
     /// Early-exit fast path: stops at the first accepting state. Runs
     /// the anchor-byte skip lane when the automaton carries it — the
     /// lane can consume no accepting byte, so skipping never misses the
-    /// exit — dispatching to the vector lane on the same
-    /// [`CompiledMatcher::simd`] switch the full scans honour.
+    /// exit.
     fn is_match(&self, haystack: &[u8]) -> bool {
         let a = self.automaton;
-        let simd = self.simd();
         dispatch_stepper!(a, step => {{
             let mut regs = ScanRegs::start();
             if let Some(pf) = a.prefilter() {
@@ -1210,11 +1031,7 @@ impl MultiMatcher for CompiledMatcher<'_> {
                 let mut run = 0usize;
                 while i < len {
                     if pf.contains_state(regs.state) {
-                        i = if simd {
-                            self.lane_advance::<true>(pf, &mut regs, haystack, i, &mut run)
-                        } else {
-                            self.lane_advance::<false>(pf, &mut regs, haystack, i, &mut run)
-                        };
+                        i = self.lane_advance(pf, &mut regs, haystack, i, &mut run);
                         if i >= len {
                             return false;
                         }
@@ -1527,7 +1344,7 @@ mod tests {
 
     #[test]
     fn matcher_is_a_cheap_view() {
-        // Two borrows, the static fold table and at most a SIMD token:
+        // Two borrows and the static fold table:
         // building one per packet copies no table.
         assert!(std::mem::size_of::<CompiledMatcher<'static>>() <= 64);
     }

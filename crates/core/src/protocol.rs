@@ -1147,7 +1147,7 @@ impl LaneMatcher<'_> {
     }
 
     /// The underlying matcher (e.g. to inspect the lanes its automaton
-    /// carries, or to clone it with SIMD off).
+    /// carries).
     pub fn matcher(&self) -> &CompiledMatcher<'_> {
         &self.matcher
     }

@@ -91,12 +91,6 @@ pub struct ShardedConfig {
     /// than the master's and its lane skips strictly more of the same
     /// traffic.
     pub anchor_horizon: u8,
-    /// Run every shard's scan loops on the SIMD fast-lane kernels
-    /// (default on; see [`CompiledMatcher::with_simd`]). Inert — the
-    /// safe scalar lanes run — unless the crate was built with the
-    /// `simd` feature on x86_64 and the CPU supports SSSE3, so the
-    /// field exists (and round-trips) on every build.
-    pub simd: bool,
 }
 
 impl ShardedConfig {
@@ -115,7 +109,6 @@ impl ShardedConfig {
             max_shards: spec.max_shards,
             dtp: DtpConfig::PAPER,
             anchor_horizon: AnchorSet::DEFAULT_HORIZON,
-            simd: true,
         }
     }
 
@@ -301,10 +294,6 @@ pub struct ShardedMatcher {
     /// Worker count for the parallel entry points (1 = sequential mode).
     cores: usize,
     strategy: SplitStrategy,
-    /// Request the SIMD fast-lane kernels in every per-shard matcher
-    /// (honored only when the build and CPU support them — see
-    /// [`CompiledMatcher::with_simd`]).
-    simd: bool,
     /// Shard index boundaries assigning contiguous shard runs to worker
     /// threads, balanced by compiled-arena bytes ([0, …, shard count]).
     chunk_bounds: Vec<usize>,
@@ -348,7 +337,6 @@ impl ShardedMatcher {
             shards,
             cores: config.cores.max(1),
             strategy,
-            simd: config.simd,
             chunk_bounds,
         })
     }
@@ -366,12 +354,6 @@ impl ShardedMatcher {
     /// Which split strategy the planner selected.
     pub fn strategy(&self) -> SplitStrategy {
         self.strategy
-    }
-
-    /// Whether the SIMD fast-lane kernels are actually active in shard
-    /// scan loops: requested **and** available on this build and CPU.
-    pub fn simd(&self) -> bool {
-        self.simd && dpi_automaton::simd_available()
     }
 
     /// The anchor analysis of shard `shard` (every shard carries one).
@@ -531,7 +513,7 @@ impl ShardedMatcher {
             if !lane_in_mask(i, mask) {
                 continue;
             }
-            let matcher = CompiledMatcher::new(&shard.automaton, &shard.set).with_simd(self.simd);
+            let matcher = CompiledMatcher::new(&shard.automaton, &shard.set);
             matcher.for_each_match_chunk(flow, chunk, |m| {
                 buf.push(Match {
                     end: m.end,
@@ -557,7 +539,7 @@ impl ShardedMatcher {
     ) {
         let shard = &self.shards[lane];
         let flow = &mut state.per_shard[lane];
-        let matcher = CompiledMatcher::new(&shard.automaton, &shard.set).with_simd(self.simd);
+        let matcher = CompiledMatcher::new(&shard.automaton, &shard.set);
         matcher.for_each_match_chunk(flow, chunk, |m| {
             out.push(Match {
                 end: m.end,
@@ -772,7 +754,7 @@ impl ShardedMatcher {
     /// global as matches stream out.
     fn scan_one(&self, shard: &Shard, payload: &[u8], buf: &mut Vec<Match>) {
         buf.clear();
-        let matcher = CompiledMatcher::new(&shard.automaton, &shard.set).with_simd(self.simd);
+        let matcher = CompiledMatcher::new(&shard.automaton, &shard.set);
         matcher.for_each_match(payload, |m| {
             buf.push(Match {
                 end: m.end,
@@ -801,9 +783,7 @@ impl MultiMatcher for ShardedMatcher {
     /// more than it hides) and the first accepting shard wins.
     fn is_match(&self, haystack: &[u8]) -> bool {
         self.shards.iter().any(|shard| {
-            CompiledMatcher::new(&shard.automaton, &shard.set)
-                .with_simd(self.simd)
-                .is_match(haystack)
+            CompiledMatcher::new(&shard.automaton, &shard.set).is_match(haystack)
         })
     }
 }

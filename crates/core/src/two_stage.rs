@@ -41,7 +41,7 @@
 //! same anchor skip lane as the monolithic engine,
 //! recording flags that are then processed in stream order against a
 //! single-byte direct-emit sweep of the gaps between them (vectorized
-//! 32 bytes per probe under the `simd` feature).
+//! 32 bytes per probe on x86_64 CPUs with SSSE3).
 //!
 //! Soundness is inherited from the cover (see
 //! [`dpi_automaton::Flag::window`]): every exact occurrence of an
@@ -179,19 +179,19 @@ struct ConfirmCarry {
 /// automaton walk skipped, so at realistic hit densities (~8% of bytes
 /// on the synthesized 100k set) replacing the per-byte table load with
 /// one probe per 32 bytes + a bit-iteration over members removes most
-/// of the second full pass. A stub that always declines without the
-/// `simd` feature or on CPUs without SSSE3.
+/// of the second full pass. A stub that always declines off x86_64
+/// or on CPUs without SSSE3, where the scalar sweep runs.
 #[derive(Debug, Clone)]
 struct SinglesSimd {
-    #[cfg(feature = "simd")]
+    #[cfg(target_arch = "x86_64")]
     inner: Option<(dpi_automaton::simd::ByteSetTables, dpi_automaton::simd::SimdToken)>,
 }
 
 impl SinglesSimd {
     /// Builds the byte-set tables for `{b : table[b] != u32::MAX}` when
-    /// the feature is on, the CPU qualifies, and the set is non-empty.
+    /// the CPU qualifies and the set is non-empty.
     fn build(table: &[u32; 256]) -> SinglesSimd {
-        #[cfg(feature = "simd")]
+        #[cfg(target_arch = "x86_64")]
         {
             use dpi_automaton::simd::{ByteSetTables, SimdToken};
             let inner = (table.iter().any(|&id| id != u32::MAX))
@@ -205,7 +205,7 @@ impl SinglesSimd {
                 });
             SinglesSimd { inner }
         }
-        #[cfg(not(feature = "simd"))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             let _ = table;
             SinglesSimd {}
@@ -482,8 +482,8 @@ impl VerifySide {
             // Bits iterate ascending, so emission order is identical to
             // the scalar loop; membership is pinned to the table by
             // construction (and the vector kernels to the scalar model
-            // by the `simd` conformance suite).
-            #[cfg(feature = "simd")]
+            // by the `simd` module's tests).
+            #[cfg(target_arch = "x86_64")]
             if let Some((tables, tok)) = &simd.inner {
                 let n0 = out.len();
                 let bytes = &chunk[start..to];
@@ -516,7 +516,7 @@ impl VerifySide {
                 self.stats.flags += (out.len() - n0) as u64;
                 return;
             }
-            #[cfg(not(feature = "simd"))]
+            #[cfg(not(target_arch = "x86_64"))]
             let _ = simd;
             let n0 = out.len();
             let mut n = n0;
@@ -1786,9 +1786,8 @@ mod tests {
     /// The shuffle tables driving the masked sweep must classify every
     /// byte exactly as the direct-emit table does — the vector kernels
     /// themselves are pinned to `model_contains` by the `simd`
-    /// conformance suite, so this closes the chain table → tables →
-    /// lanes.
-    #[cfg(feature = "simd")]
+    /// module's tests, so this closes the chain table → tables → lanes.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn singles_simd_tables_mirror_the_emit_table() {
         let (_, two, _) = build(&["x", "q", "longer-pattern", "another-rule"]);
@@ -1804,6 +1803,63 @@ mod tests {
                 singles[usize::from(b)] != u32::MAX,
                 "byte {b:#04x}"
             );
+        }
+    }
+
+    /// The vector singles sweep and the scalar one it falls back to
+    /// emit the same matches, queue the same pending matches and count
+    /// the same flags: over dense 1-byte hit streams, every tail length
+    /// 0–31 behind whole 32-byte probes, several start offsets, and
+    /// with a group open (the queueing slow path). On an SSSE3 host
+    /// this is the only place the scalar fast path runs.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_and_scalar_singles_sweeps_agree() {
+        let (_, two, _) = build(&["x", "q", "longer-pattern", "another-rule"]);
+        let PreStage::Prefix { singles, simd, .. } = &two.pre else {
+            panic!("single-byte rules force the prefix path");
+        };
+        if simd.inner.is_none() {
+            eprintln!("skipping: no SSSE3 on this host");
+            return;
+        }
+        let scalar = SinglesSimd { inner: None };
+        let mut x = 0x9E37_79B9u32;
+        let mut streams = vec![b"xq".repeat(50), vec![b'x'; 100]];
+        for len in 64..96 {
+            streams.push(
+                (0..len)
+                    .map(|_| {
+                        x = x.wrapping_mul(747_796_405).wrapping_add(2_891_336_453);
+                        b"xqa-"[(x >> 30) as usize]
+                    })
+                    .collect(),
+            );
+        }
+        for chunk in &streams {
+            for group_open in [false, true] {
+                for start in [0, 1, 31] {
+                    let sweep = |kernel: &SinglesSimd| {
+                        let mut state = two.flow_state();
+                        state.vs.group_open = group_open;
+                        let ctx = FeedCtx {
+                            exact: two.exact(),
+                            long_ids: None,
+                            max_back: two.max_back(),
+                            chunk,
+                            base: 7,
+                        };
+                        let (mut from, to, mut out) = (start, chunk.len(), Vec::new());
+                        state.vs.sweep_singles(singles, kernel, &ctx, &mut from, to, &mut out);
+                        assert_eq!(from, to);
+                        (out, state.vs.pending, state.vs.stats.flags)
+                    };
+                    let (vector, scalar) = (sweep(simd), sweep(&scalar));
+                    assert!(vector.2 > 0, "stream must carry hits");
+                    let len = chunk.len();
+                    assert_eq!(vector, scalar, "len {len} start {start} open {group_open}");
+                }
+            }
         }
     }
 

@@ -1,35 +1,27 @@
-//! Cross-lane SIMD conformance suite: the `simd` feature must be
-//! *scan-invisible*.
+//! Lane conformance under probe-window-shaped cuts and exits.
 //!
-//! The vector lanes (nibble-box danger walk, shuffle byte-set probes)
-//! are pure accelerations of the scalar lanes — they may change how
-//! fast bytes are consumed, never which matches come out. This suite
-//! pins that differentially:
+//! The compiled engine's skip lane (8-byte SWAR windows plus the exact
+//! per-byte danger walk) may change how fast bytes are consumed, never
+//! which matches come out. This suite pins that differentially; its
+//! 16/32-byte cut and exit shapes land the lane at every misaligned
+//! resume offset, and on x86_64 it also pins the `simd` module's
+//! shuffle kernels:
 //!
-//! 1. **Lane matrix** — every `CompiledMatcher` configuration
-//!    (simd on/off × every lane stack the automaton can be built with:
-//!    prefilter on/off) reports exactly the reference `DtpMatcher`
-//!    matches, on clean, infected and adversarial payloads, whole and
-//!    under every `ChopProfile`.
-//! 2. **Window-interior cuts and exits** — chunk boundaries placed
-//!    strictly inside the 16/32-byte probe windows (±1 around every
-//!    vector width multiple), 3-way splits inside a maximal skippable
-//!    run, and a planted lane exit swept across every in-window
-//!    offset, so suspend/resume lands mid-skip at odd offsets and the
-//!    vector walk exits at every probe position.
+//! 1. **Lane matrix** — every lane stack the automaton can be built
+//!    with (prefilter on/off) reports exactly the reference
+//!    `DtpMatcher` matches, on clean, infected and adversarial
+//!    payloads, whole and under every `ChopProfile`.
+//! 2. **Window-interior cuts and exits** — chunk boundaries ±1 around
+//!    every 16- and 32-byte multiple, 3-way splits inside a maximal
+//!    skippable run, and a planted lane exit swept across a 32-byte
+//!    span of offsets, so suspend/resume lands mid-skip at odd offsets.
 //! 3. **Horizon sweep** — anchor horizons 0, 1 and 2, and `nocase`
-//!    pattern sets (the fold must be applied before any vector probe).
-//! 4. **Sharded + reassembly** — `ShardedMatcher` with simd on/off,
-//!    and adversarial `SegmentProfile` schedules through a `FlowTable`.
-//! 5. **Table models** (feature `simd` only) — the shuffle tables and
-//!    the nibble-box danger cover are checked against the exact
-//!    `AnchorSet` bitmaps over the full key space, for proptest-drawn
-//!    pattern sets: the cover must flag every danger pair (one-sided
-//!    soundness), and the candidate tables must equal the skip bitmap
-//!    exactly.
-//!
-//! Built without the feature the matrix still runs (with_simd is
-//! inert), so the portable build keeps the same pinning.
+//!    pattern sets (the fold must be applied before classification).
+//! 4. **Sharded + reassembly** — `ShardedMatcher` streamed under
+//!    ragged cuts, and adversarial `SegmentProfile` schedules through a
+//!    `FlowTable`.
+//! 5. **Table model** (x86_64) — the nibble-split shuffle tables and
+//!    their vector kernels checked against a production skip bitmap.
 
 use dpi_accel::core::{FlowKey, FlowSegment, FlowTable, ShardedConfig, ShardedMatcher};
 use dpi_accel::prelude::*;
@@ -56,24 +48,6 @@ fn build_stack(set: &PatternSet, horizon: u8) -> Vec<(String, CompiledAutomaton)
     ]
 }
 
-/// The full lane matrix: simd × every lane stack. Without the `simd`
-/// feature the simd half is inert and pins scalar against scalar.
-fn lane_matrix<'a>(
-    stacks: &'a [(String, CompiledAutomaton)],
-    set: &'a PatternSet,
-) -> Vec<(String, CompiledMatcher<'a>)> {
-    let mut out = Vec::new();
-    for simd in [false, true] {
-        for (stack, compiled) in stacks {
-            out.push((
-                format!("simd={simd}/{stack}"),
-                CompiledMatcher::new(compiled, set).with_simd(simd),
-            ));
-        }
-    }
-    out
-}
-
 /// Scans `payload` chunked at `cuts` through every lane configuration
 /// and asserts each equals the whole-payload `DtpMatcher` reference.
 fn assert_matrix_conforms(
@@ -85,7 +59,8 @@ fn assert_matrix_conforms(
     ctx: &str,
 ) {
     let segments = chop(payload, cuts);
-    for (name, m) in lane_matrix(stacks, set) {
+    for (name, compiled) in stacks {
+        let m = CompiledMatcher::new(compiled, set);
         let mut state = ScanState::fresh();
         let mut got = Vec::new();
         for seg in &segments {
@@ -102,7 +77,7 @@ fn dtp_reference(set: &PatternSet, payload: &[u8]) -> Vec<Match> {
 }
 
 /// Lane matrix × traffic kind × chop profile on a realistic 300-rule
-/// slice — the ruleset size the SIMD A/B benches run at.
+/// slice.
 #[test]
 fn traffic_and_chop_matrix_conformance() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
@@ -153,10 +128,10 @@ fn traffic_and_chop_matrix_conformance() {
     }
 }
 
-/// Chunk boundaries strictly inside the vector probe windows: every
-/// multiple of 16 and 32 ± 1 (so a probe that would have straddled the
-/// cut must be re-formed after resume, from an odd offset), plus 3-way
-/// splits inside the longest skippable run (suspend/resume mid-skip).
+/// Chunk boundaries at every multiple of 16 and 32 ± 1 (so each resumed
+/// chunk re-enters the lane from an odd offset, mid SWAR window), plus
+/// 3-way splits inside the longest skippable run (suspend/resume
+/// mid-skip).
 #[test]
 fn cuts_inside_simd_windows() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
@@ -168,9 +143,8 @@ fn cuts_inside_simd_windows() {
     let payload = &packet.payload;
     let reference = dtp_reference(&set, payload);
 
-    // ±1 around every vector-width multiple, both widths at once —
-    // every cut is at an odd offset, so each resumed chunk re-enters
-    // the lane misaligned.
+    // ±1 around every 16- and 32-byte multiple — every cut is at an
+    // odd offset, so each resumed chunk re-enters the lane misaligned.
     for width in [16usize, 32] {
         let cuts: Vec<usize> = (1..payload.len() / width)
             .flat_map(|i| [i * width - 1, i * width + 1])
@@ -185,9 +159,9 @@ fn cuts_inside_simd_windows() {
         );
     }
 
-    // 3-way split inside the longest fully-skippable run: the SWAR /
-    // vector skip is interrupted twice mid-run and must resume without
-    // losing the (prev, byte) history.
+    // 3-way split inside the longest fully-skippable run: the SWAR
+    // skip is interrupted twice mid-run and must resume without losing
+    // the (prev, byte) history.
     let mut best = (0usize, 0usize); // (start, len)
     let mut run = 0usize;
     for (i, &b) in payload.iter().enumerate() {
@@ -214,15 +188,13 @@ fn cuts_inside_simd_windows() {
     }
 }
 
-/// A lane exit planted at every in-window offset of the vector probes,
-/// with a second exit and register rebuild right behind it. The exit
-/// `(p, c)` — `p` reachable through skippable filler, `(p, c)` danger —
-/// is followed by `d` and a byte `e` that is danger after `d` when one
-/// exists. Swept across a full 32-byte span of offsets, each probe
-/// width meets the exit at every in-window position, including the
-/// last flag of a window (where a pair consumed across the window edge
-/// once had to resume past its second byte); a cut between `c` and `d`
-/// suspends right behind the exit.
+/// A lane exit planted at every offset of a 32-byte span, with a second
+/// exit and register rebuild right behind it. The exit `(p, c)` — `p`
+/// reachable through skippable filler, `(p, c)` danger — is followed by
+/// `d` and a byte `e` that is danger after `d` when one exists. The
+/// sweep meets the exit at every position of an 8-byte SWAR window and
+/// of the walk runs between probes; a cut between `c` and `d` suspends
+/// right behind the exit.
 #[test]
 fn calm_pair_rescue_straddling_probe_windows() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
@@ -269,8 +241,8 @@ fn calm_pair_rescue_straddling_probe_windows() {
     }
 }
 
-/// Horizons 0, 1 and 2: the danger relation (and so the nibble-box
-/// cover) changes shape with the region depth; each must stay exact.
+/// Horizons 0, 1 and 2: the danger relation changes shape with the
+/// region depth; each must stay exact.
 #[test]
 fn horizon_sweep_conformance() {
     let set = extract_preserving(&master_ruleset(), 80, 0x707);
@@ -295,8 +267,8 @@ fn horizon_sweep_conformance() {
 }
 
 /// `nocase` sets: the ASCII fold is applied *before* classification,
-/// so the shuffle tables and the cover see folded bytes — mixed-case
-/// occurrences must land identically with simd on and off.
+/// so the lane tables see folded bytes — mixed-case occurrences must
+/// land exactly as the reference reports them.
 #[test]
 fn nocase_conformance() {
     let set = PatternSet::new_nocase([
@@ -326,9 +298,9 @@ fn nocase_conformance() {
     assert_matrix_conforms(&stacks, &set, &reference, &payload, &cuts, "nocase cut");
 }
 
-/// `ShardedMatcher` with simd on and off, streamed under ragged cuts:
-/// per-shard anchor sets each carry their own cover; the merge must
-/// stay byte-identical.
+/// `ShardedMatcher` streamed under ragged cuts: per-shard anchor sets
+/// each carry their own lane tables; the merge must stay
+/// byte-identical to the reference.
 #[test]
 fn sharded_conformance() {
     let set = extract_preserving(&master_ruleset(), 300, 42);
@@ -336,35 +308,29 @@ fn sharded_conformance() {
     let packet = gen.infected_packet(8192, &set, 16);
     let reference = dtp_reference(&set, &packet.payload);
     for cores in [1usize, 3] {
-        for simd in [false, true] {
-            let mut config = ShardedConfig::with_cores(cores);
-            config.simd = simd;
-            let sharded = ShardedMatcher::build(&set, &config)
-                .expect("300 rules fit the default budget");
-            let cuts = gen.chop_points(&packet, &set, ChopProfile::Random { min: 3, max: 113 });
-            let segments = chop(&packet.payload, &cuts);
-            let mut scratch = sharded.scratch();
-            let mut flow = sharded.flow_state();
-            let mut got = Vec::new();
-            for seg in &segments {
-                sharded.scan_chunk_into(&mut flow, seg, &mut scratch, &mut got);
-            }
-            assert_eq!(
-                got, reference,
-                "sharded(cores={cores}, simd={simd}) diverged"
-            );
+        let sharded = ShardedMatcher::build(&set, &ShardedConfig::with_cores(cores))
+            .expect("300 rules fit the default budget");
+        let cuts = gen.chop_points(&packet, &set, ChopProfile::Random { min: 3, max: 113 });
+        let segments = chop(&packet.payload, &cuts);
+        let mut scratch = sharded.scratch();
+        let mut flow = sharded.flow_state();
+        let mut got = Vec::new();
+        for seg in &segments {
+            sharded.scan_chunk_into(&mut flow, seg, &mut scratch, &mut got);
         }
+        assert_eq!(got, reference, "sharded(cores={cores}) diverged");
     }
 }
 
 /// Adversarial `SegmentProfile` schedules through a `FlowTable`: the
-/// reassembly layer feeds the simd lanes restart-heavy chunk shapes
-/// (hole skips reset the scan state mid-stream); simd on/off and the
-/// whole-payload reference must all agree.
+/// reassembly layer feeds the skip lane restart-heavy chunk shapes
+/// (hole skips reset the scan state mid-stream); the scan must agree
+/// with the whole-payload reference.
 #[test]
 fn reassembly_segment_profiles_conformance() {
     let set = extract_preserving(&master_ruleset(), 150, 0x6E0);
     let stacks = build_stack(&set, AnchorSet::DEFAULT_HORIZON);
+    let matcher = CompiledMatcher::new(&stacks[0].1, &set);
     let mut gen = TrafficGenerator::new(0xF10E);
 
     for profile in [
@@ -378,127 +344,54 @@ fn reassembly_segment_profiles_conformance() {
         let schedule: Vec<Segment> =
             gen.segment_schedule(&packet, &set, ChopProfile::MidPattern { mtu: 200 }, profile);
         let reference = dtp_reference(&set, &packet.payload);
-
-        for simd in [false, true] {
-            let matcher = CompiledMatcher::new(&stacks[0].1, &set).with_simd(simd);
-            let template = StreamFlow::new(ReassemblyConfig::new(4096), ScanState::fresh());
-            let mut table = FlowTable::new(16, template);
-            let mut alerts = Vec::new();
-            let mut got: Vec<Match> = Vec::new();
-            for seg in &schedule {
-                table.ingest_segments(
-                    [FlowSegment {
-                        key: FlowKey(7),
-                        seq: seg.seq,
-                        payload: &seg.bytes,
-                    }],
-                    |state, chunk, out| matcher.scan_chunk_into(state, chunk, out),
-                    &mut alerts,
-                );
-                got.extend(alerts.iter().map(|a| a.matched));
-            }
-            table.flush_flows(
+        let template = StreamFlow::new(ReassemblyConfig::new(4096), ScanState::fresh());
+        let mut table = FlowTable::new(16, template);
+        let mut alerts = Vec::new();
+        let mut got: Vec<Match> = Vec::new();
+        for seg in &schedule {
+            table.ingest_segments(
+                [FlowSegment {
+                    key: FlowKey(7),
+                    seq: seg.seq,
+                    payload: &seg.bytes,
+                }],
                 |state, chunk, out| matcher.scan_chunk_into(state, chunk, out),
                 &mut alerts,
             );
             got.extend(alerts.iter().map(|a| a.matched));
-            assert_eq!(got, reference, "simd={simd} diverged under {profile:?}");
         }
+        table.flush_flows(
+            |state, chunk, out| matcher.scan_chunk_into(state, chunk, out),
+            &mut alerts,
+        );
+        got.extend(alerts.iter().map(|a| a.matched));
+        assert_eq!(got, reference, "diverged under {profile:?}");
     }
 }
 
-/// Table-model pinning (feature `simd` only): the shuffle tables and
-/// the nibble-box cover checked against the exact `AnchorSet` bitmaps
-/// over the full key space.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// Table-model pinning (x86_64 only, where the shuffle kernels exist).
+#[cfg(target_arch = "x86_64")]
 mod table_models {
     use super::*;
-    use dpi_accel::automaton::simd::{PairCover, SimdToken};
-    use proptest::prelude::*;
+    use dpi_accel::automaton::simd::{ByteSetTables, SimdToken};
 
-    fn diverse_patterns() -> impl Strategy<Value = Vec<Vec<u8>>> {
-        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..10), 1..10)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// For any pattern set and horizon: (a) the candidate shuffle
-        /// tables equal the skip bitmap exactly on all 256 bytes;
-        /// (b) a cover built from the danger relation flags every
-        /// danger pair — one-sided soundness — across all 256×256
-        /// byte-valued keys (row 256, HIST_NONE, is excluded by
-        /// design: the lane settles the entry byte with the exact
-        /// bitmap before any vector probe); (c) the carried
-        /// `simd_danger()` cover, when the profitability gate admits
-        /// one, satisfies the same superset property.
-        #[test]
-        fn tables_model_anchor_bitmaps(
-            patterns in diverse_patterns(),
-            horizon in prop_oneof![Just(0u8), Just(1u8), Just(2u8)],
-        ) {
-            let Ok(set) = PatternSet::new(&patterns) else { return Ok(()) };
-            let dfa = Dfa::build(&set);
-            let anchors = AnchorSet::build(&dfa, &set, horizon);
-
-            // (a) candidate tables ≡ !skippable, exactly.
-            let cand = anchors.simd_candidates();
-            for b in 0..=255u8 {
-                prop_assert_eq!(
-                    cand.model_contains(b),
-                    !anchors.is_skippable(b),
-                    "candidate table wrong at byte {:#04x}", b
-                );
-            }
-
-            // (b) fresh cover over the exact danger relation.
-            let cover = PairCover::build(|p, c| anchors.is_danger(p as u32, c));
-            let mut dangers = 0usize;
-            for p in 0..=255u8 {
-                for c in 0..=255u8 {
-                    if anchors.is_danger(p as u32, c) {
-                        dangers += 1;
-                        prop_assert!(
-                            cover.model_flags(p, c),
-                            "cover missed danger pair ({:#04x}, {:#04x})", p, c
-                        );
-                    }
-                }
-            }
-            let density = dangers as f64 / (256.0 * 256.0);
-            prop_assert!(cover.coverage() >= density - 1e-12);
-            prop_assert!(cover.coverage() <= 1.0);
-
-            // (c) the production-carried cover, when admitted.
-            if let Some(cover) = anchors.simd_danger() {
-                prop_assert!(cover.coverage() <= AnchorSet::SIMD_COVER_MAX_COVERAGE);
-                for p in 0..=255u8 {
-                    for c in 0..=255u8 {
-                        if anchors.is_danger(p as u32, c) {
-                            prop_assert!(cover.model_flags(p, c));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The vector kernels against the models they implement, with the
-    /// production 300-rule tables (not synthetic predicates): on a
-    /// pseudorandom buffer, `danger_scan`'s flag word must equal the
-    /// per-position model, and the membership masks must equal the
-    /// candidate model byte-for-byte.
+    /// The nibble-split tables and their vector kernels against a
+    /// production byte set (the 300-rule candidate-anchor bytes, i.e.
+    /// the complement of the skip bitmap): the scalar model must equal
+    /// the bitmap on all 256 bytes, and on a pseudorandom buffer the
+    /// 16- and 32-lane membership masks must equal the model
+    /// byte-for-byte.
     #[test]
     fn kernels_match_models_on_production_tables() {
-        let Some(token) = SimdToken::detect() else {
-            eprintln!("no SSSE3 — kernel/model differential skipped");
-            return;
-        };
         let set = extract_preserving(&master_ruleset(), 300, 42);
         let dfa = Dfa::build(&set);
         let anchors = AnchorSet::build(&dfa, &set, AnchorSet::DEFAULT_HORIZON);
-        let Some(cover) = anchors.simd_danger() else {
-            eprintln!("profitability gate rejected the 300-rule cover?");
+        let tables = ByteSetTables::build(|b| !anchors.is_skippable(b));
+        for b in 0..=255u8 {
+            assert_eq!(tables.model_contains(b), !anchors.is_skippable(b), "byte {b:#04x}");
+        }
+        let Some(token) = SimdToken::detect() else {
+            eprintln!("no SSSE3 — kernel/model differential skipped");
             return;
         };
 
@@ -512,40 +405,9 @@ mod table_models {
                 (x >> 32) as u8
             })
             .collect();
-
-        let mut i = 1usize;
-        while i + token.scan_width() <= buf.len() {
-            let (base, flags) = token.danger_scan(cover, &buf, i);
-            assert!(base >= i);
-            // Every position the model flags inside the probed window
-            // must be set in the flag word, and vice versa.
-            for k in 0..token.scan_width() {
-                let j = base + k;
-                if j >= buf.len() {
-                    break;
-                }
-                let model = cover.model_flags(buf[j - 1], buf[j]);
-                let got = flags & (1 << k) != 0;
-                assert_eq!(got, model, "flag mismatch at {j} (base {base})");
-            }
-            // Consumed positions (i..base) must be model-clean.
-            for j in i..base {
-                assert!(
-                    !cover.model_flags(buf[j - 1], buf[j]),
-                    "danger_scan consumed a flagged position {j}"
-                );
-            }
-            i = if flags == 0 {
-                base.max(i + 1)
-            } else {
-                base + flags.trailing_zeros() as usize + 1
-            };
-        }
-
-        let tables = anchors.simd_candidates();
         for w in (1..buf.len() - 32).step_by(97) {
-            let m16 = token.member_mask16(tables, buf[w..w + 16].try_into().unwrap());
-            let m32 = token.member_mask32(tables, buf[w..w + 32].try_into().unwrap());
+            let m16 = token.member_mask16(&tables, buf[w..w + 16].try_into().unwrap());
+            let m32 = token.member_mask32(&tables, buf[w..w + 32].try_into().unwrap());
             for k in 0..32usize {
                 let model = tables.model_contains(buf[w + k]);
                 if k < 16 {
